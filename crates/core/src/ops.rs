@@ -8,6 +8,16 @@
 //! [`execute`] — own all permission checks, CVT-cache lookups, rollback
 //! protocol, and stat accounting exactly once.
 //!
+//! A data-plane op is the paper's split in miniature — protection check on
+//! the client side, then translation and allocation in the MTL — and each
+//! half is defined once: the check ([`access`]), the locked half
+//! ([`run_checked_pressured`] under one hold of the home MTL, in-place
+//! eviction included), the borrow retry around it (sibling capacity,
+//! fetched with no lock held), and the telemetry boundary that records the
+//! op. [`execute`] runs them for one op, [`execute_batch`] for a slice of
+//! ops with one MTL visit per populated shard, [`store_bytes`] for a span
+//! the caller lends.
+//!
 //! Front ends differ only in *where the state lives*, which the [`OpEnv`]
 //! trait abstracts:
 //!
@@ -15,8 +25,8 @@
 //!   MTL, `HashMap`s of CVTs) — the synchronous adapter;
 //! * `vbi_service::VbiService` implements it with `Mutex<Mtl>` shards and
 //!   lock-protected client state — the concurrent sharding adapter, which
-//!   also batches (`VbiService::submit`) and queues (`VbiQueue`) the same
-//!   [`Op`]s.
+//!   also batches (`VbiService::submit`, through [`execute_batch`]) and
+//!   queues (`VbiQueue`) the same [`Op`]s.
 //!
 //! Because both adapters route every op through this engine, a 1-shard
 //! service driven sequentially is *observably identical* to a `System` by
@@ -41,6 +51,8 @@
 //! hits from a seqlock-published snapshot with **zero** client-lock
 //! acquisitions, falling back to the locked [`cvt_lookup`] path on a miss
 //! or torn read. Control-plane ops always take the write side.
+
+use std::time::Instant;
 
 use crate::addr::{SizeClass, VbiAddress, Vbuid};
 use crate::client::{ClientId, Cvt, CvtEntry, VirtualAddress};
@@ -256,10 +268,10 @@ impl Op {
     /// triple of the CPU-side protection check that precedes the MTL
     /// access. `None` for control-plane ops, for [`Op::Access`] (which
     /// performs no MTL access), and for empty byte spans (which complete
-    /// without any check, like the typed bulk helpers).
+    /// without any check).
     ///
-    /// Batching front ends use this to split an op into its check phase
-    /// (client locks only) and its MTL phase (home-shard lock only).
+    /// This is the line along which the engine splits an op into its check
+    /// phase (client locks only) and its MTL phase (home-shard lock only).
     pub fn checked_access(&self) -> Option<(ClientId, VirtualAddress, AccessKind)> {
         match *self {
             Op::Fetch { client, va } => Some((client, va, AccessKind::Execute)),
@@ -468,6 +480,19 @@ pub trait OpEnv {
 
     /// Runs `f` with exclusive access to the MTL that homes `vbuid`.
     fn with_home_mtl<R>(&mut self, vbuid: Vbuid, f: impl FnOnce(&mut Mtl) -> R) -> R;
+
+    /// [`OpEnv::with_home_mtl`] on behalf of `ops` engine ops at once — the
+    /// grouped visit of a batch. Still one acquisition; environments that
+    /// account MTL work per op count all `ops` of them.
+    fn with_home_mtl_for<R>(
+        &mut self,
+        vbuid: Vbuid,
+        ops: usize,
+        f: impl FnOnce(&mut Mtl) -> R,
+    ) -> R {
+        let _ = ops;
+        self.with_home_mtl(vbuid, f)
+    }
 
     /// Finds a free VB of `size_class` and enables it with `props` — the
     /// placement policy (which MTL shard a new VB lands on) lives here.
@@ -1000,8 +1025,7 @@ fn read_span(mtl: &mut Mtl, address: VbiAddress, len: usize) -> Result<Vec<u8>> 
 /// Runs the MTL half of a checked data-plane op at `address` (the caller
 /// has already performed the protection check that produced the address
 /// and holds the home MTL). This is the single definition of what each
-/// data-plane op does to memory; batching front ends that group checked
-/// ops by home shard call it directly under one shard lock.
+/// data-plane op does to memory.
 ///
 /// # Errors
 ///
@@ -1053,159 +1077,151 @@ pub fn with_pressure<R>(
 
 /// [`run_checked`] with the engine's pressure path: evict-on-allocation-
 /// failure with write-back, then one retry, all under the caller's single
-/// shard-lock hold (see [`with_pressure`]). Batching front ends call this
-/// instead of [`run_checked`] so oversubscribed batches behave exactly
-/// like the synchronous path.
+/// hold of the MTL (see [`with_pressure`]) — the locked half of every
+/// data-plane op, single or batched.
 pub fn run_checked_pressured(mtl: &mut Mtl, op: &Op, address: VbiAddress) -> (OpResult, bool) {
     with_pressure(mtl, address, |mtl| run_checked(mtl, op, address))
 }
 
-/// Stack-local scratch the engine fills while an op runs so the telemetry
-/// plane can label the op's trace event after the fact: which VB it
-/// resolved to, and its outcome flags. Costs a few stack stores; nothing
-/// when the caller discards it.
-#[derive(Debug, Default)]
-struct TraceScratch {
-    /// The VB the op resolved to (data plane: from the protection check).
-    vbuid: Option<Vbuid>,
-    /// [`TraceEvent`] flag bits accumulated so far.
-    flags: u8,
-    /// Whether to measure the eviction delta (only worth an extra stats
-    /// read when tracing is on).
-    trace_evictions: bool,
+/// What a checked access does once its home MTL is held: the MTL half of
+/// an [`Op`], or a store of a span the caller lent (so [`store_bytes`]
+/// spares the slice a clone into an owned [`Op::StoreBytes`]).
+#[derive(Debug, Clone, Copy)]
+enum Work<'a> {
+    Op(&'a Op),
+    Store(&'a [u8]),
 }
 
-/// Runs the MTL half of a checked data-plane op under one home-MTL
-/// acquisition, with the pressure path wrapped around it. Returns the
-/// result plus whether the attempt faulted pages in and (when measured)
-/// evicted any.
-fn mtl_half<E: OpEnv>(
-    env: &mut E,
-    op: &Op,
+impl Work<'_> {
+    /// Runs the work at `address` with the engine's pressure path around
+    /// it; returns the result plus whether pages faulted in.
+    fn run_pressured(self, mtl: &mut Mtl, address: VbiAddress) -> (OpResult, bool) {
+        match self {
+            Work::Op(op) => run_checked_pressured(mtl, op, address),
+            Work::Store(data) => with_pressure(mtl, address, |mtl| {
+                write_span(mtl, address, data).map(|()| OpOutput::Unit)
+            }),
+        }
+    }
+}
+
+/// One protection-checked access on its way through the MTL: what
+/// [`check`] resolved, and what [`serve`] has made of it so far. `result`
+/// starts as [`VbiError::OutOfPhysicalMemory`] — an access no MTL has found
+/// memory for yet — which is also exactly the state a borrow retry re-runs.
+struct Checked<'a> {
+    work: Work<'a>,
+    client: ClientId,
+    cvt_index: usize,
     address: VbiAddress,
-    want_evictions: bool,
-) -> (OpResult, bool, bool) {
-    env.with_home_mtl(address.vbuid(), |mtl| {
-        let evictions_before = if want_evictions { mtl.stats().evictions } else { 0 };
-        let (result, faulted) = run_checked_pressured(mtl, op, address);
-        let evicted = want_evictions && mtl.stats().evictions > evictions_before;
-        (result, faulted, evicted)
+    /// Position in the caller's batch (0 for a single op).
+    slot: usize,
+    scratch: TraceScratch,
+    result: OpResult,
+}
+
+impl Checked<'_> {
+    fn starved(&self) -> bool {
+        matches!(self.result, Err(VbiError::OutOfPhysicalMemory))
+    }
+}
+
+/// The client half of a data-plane op: the protection check
+/// ([`access`]), labelling `scratch` with the VB it resolved to and
+/// whether the CVT cache had to fall back to the in-memory CVT.
+fn check<'a, E: OpEnv>(
+    env: &mut E,
+    work: Work<'a>,
+    (client, va, kind): (ClientId, VirtualAddress, AccessKind),
+    mut scratch: TraceScratch,
+) -> Result<Checked<'a>> {
+    let checked = access(env, client, va, kind)?;
+    scratch.vbuid = Some(checked.address.vbuid());
+    if !checked.cvt_cache_hit {
+        scratch.flags |= TraceEvent::FLAG_CVT_FALLBACK;
+    }
+    Ok(Checked {
+        work,
+        client,
+        cvt_index: va.cvt_index(),
+        address: checked.address,
+        slot: 0,
+        scratch,
+        result: Err(VbiError::OutOfPhysicalMemory),
     })
 }
 
-/// Executes a data-plane op end to end: protection check, then the MTL
-/// half ([`run_checked`]) under the home MTL — with the pressure path
-/// wrapped around it, and the environment notified afterwards when pages
-/// faulted in. When the home shard is out of memory even after its own
-/// eviction sweep, the environment may borrow free capacity from sibling
-/// shards ([`OpEnv::borrow_frames`], taken with no lock held) and the op
-/// retries once. Empty byte spans complete without any check, like the
-/// typed bulk helpers.
-fn data_plane<E: OpEnv>(env: &mut E, op: &Op, scratch: &mut TraceScratch) -> OpResult {
-    match op.checked_access() {
-        Some((client, va, kind)) => {
-            let checked = access(env, client, va, kind)?;
-            scratch.vbuid = Some(checked.address.vbuid());
-            if !checked.cvt_cache_hit {
-                scratch.flags |= TraceEvent::FLAG_CVT_FALLBACK;
-            }
-            let want_evictions = scratch.trace_evictions;
-            let (mut result, mut faulted, mut evicted) =
-                mtl_half(env, op, checked.address, want_evictions);
-            if matches!(result, Err(VbiError::OutOfPhysicalMemory)) {
-                let batch = env.config().pressure_reclaim_batch.max(1);
-                if env.borrow_frames(checked.address.vbuid(), batch) > 0 {
-                    let (r, f, e) = mtl_half(env, op, checked.address, want_evictions);
-                    result = r;
-                    faulted |= f;
-                    evicted |= e;
-                }
-            }
-            if faulted {
-                scratch.flags |= TraceEvent::FLAG_FAULT_IN;
-                env.note_fault_in(client, va.cvt_index());
-            }
-            if evicted {
-                scratch.flags |= TraceEvent::FLAG_EVICT;
-            }
-            result
+/// The locked half: runs every still-starved access of `group` under the
+/// caller's one hold of their home MTL, each with the pressure path around
+/// it ([`with_pressure`]), accumulating fault-in and eviction flags.
+/// Returns how many are starved afterwards.
+fn serve(mtl: &mut Mtl, group: &mut [Checked<'_>]) -> usize {
+    let mut starved = 0;
+    for item in group.iter_mut().filter(|item| item.starved()) {
+        // The eviction delta is only worth a stats read under tracing.
+        let evictions_before = if item.scratch.trace_evictions { mtl.stats().evictions } else { 0 };
+        let (result, faulted) = item.work.run_pressured(mtl, item.address);
+        if faulted {
+            item.scratch.flags |= TraceEvent::FLAG_FAULT_IN;
         }
-        None => match op {
-            Op::LoadBytes { .. } => Ok(OpOutput::Bytes(Vec::new())),
-            Op::StoreBytes { .. } => Ok(OpOutput::Unit),
-            _ => unreachable!("{op:?} is not a data-plane op"),
-        },
+        if item.scratch.trace_evictions && mtl.stats().evictions > evictions_before {
+            item.scratch.flags |= TraceEvent::FLAG_EVICT;
+        }
+        item.result = result;
+        starved += usize::from(item.starved());
+    }
+    starved
+}
+
+/// Serves a group of checked accesses homed on one shard — a single op is
+/// the group of one — with one visit to their home MTL, in group order.
+///
+/// The borrow rule: accesses that still see
+/// [`VbiError::OutOfPhysicalMemory`] after the home shard's own eviction
+/// sweep wait until the lock is released; then the environment may borrow
+/// free capacity from sibling shards ([`OpEnv::borrow_frames`], no lock
+/// held), and they are re-run — once, in a second visit — only if
+/// something was borrowed. With nothing borrowed the first
+/// `OutOfPhysicalMemory` is the result.
+///
+/// Fault-in notifications go out after the lock is dropped (client locks
+/// only — the engine's lock order).
+fn run_group<E: OpEnv>(env: &mut E, group: &mut [Checked<'_>]) {
+    let Some(first) = group.first() else { return };
+    let home = first.address.vbuid();
+    let starved = env.with_home_mtl_for(home, group.len(), |mtl| serve(mtl, group));
+    if starved > 0 {
+        let want = env.config().pressure_reclaim_batch.max(starved);
+        if env.borrow_frames(home, want) > 0 {
+            env.with_home_mtl_for(home, starved, |mtl| serve(mtl, group));
+        }
+    }
+    for item in group.iter() {
+        if item.scratch.flags & TraceEvent::FLAG_FAULT_IN != 0 {
+            env.note_fault_in(item.client, item.cvt_index);
+        }
     }
 }
 
-/// Protection-checked functional load of a `u64`.
-///
-/// # Errors
-///
-/// Any protection or translation error.
-pub fn load_u64<E: OpEnv>(env: &mut E, client: ClientId, va: VirtualAddress) -> Result<u64> {
-    match data_plane(env, &Op::LoadU64 { client, va }, &mut TraceScratch::default())? {
-        OpOutput::U64(v) => Ok(v),
-        _ => unreachable!("load returns a u64"),
-    }
-}
-
-/// Protection-checked functional store of a `u64`.
-///
-/// # Errors
-///
-/// Any protection or translation error.
-pub fn store_u64<E: OpEnv>(
+/// Executes one checked data-plane access end to end: [`check`], then
+/// [`run_group`] over the group of one, held on the stack.
+fn data_plane<E: OpEnv>(
     env: &mut E,
-    client: ClientId,
-    va: VirtualAddress,
-    value: u64,
-) -> Result<()> {
-    data_plane(env, &Op::StoreU64 { client, va, value }, &mut TraceScratch::default()).map(|_| ())
+    work: Work<'_>,
+    access: (ClientId, VirtualAddress, AccessKind),
+    scratch: &mut TraceScratch,
+) -> OpResult {
+    let mut group = [check(env, work, access, *scratch)?];
+    run_group(env, &mut group);
+    let [item] = group;
+    *scratch = item.scratch;
+    item.result
 }
 
-/// Protection-checked functional load of one byte.
-///
-/// # Errors
-///
-/// Any protection or translation error.
-pub fn load_u8<E: OpEnv>(env: &mut E, client: ClientId, va: VirtualAddress) -> Result<u8> {
-    match data_plane(env, &Op::LoadU8 { client, va }, &mut TraceScratch::default())? {
-        OpOutput::U8(v) => Ok(v),
-        _ => unreachable!("load returns a byte"),
-    }
-}
-
-/// Protection-checked functional store of one byte.
-///
-/// # Errors
-///
-/// Any protection or translation error.
-pub fn store_u8<E: OpEnv>(
-    env: &mut E,
-    client: ClientId,
-    va: VirtualAddress,
-    value: u8,
-) -> Result<()> {
-    data_plane(env, &Op::StoreU8 { client, va, value }, &mut TraceScratch::default()).map(|_| ())
-}
-
-/// Protection-checked instruction fetch (returns the byte; fetch width is
-/// immaterial to the model).
-///
-/// # Errors
-///
-/// Any protection or translation error.
-pub fn fetch<E: OpEnv>(env: &mut E, client: ClientId, va: VirtualAddress) -> Result<u8> {
-    match data_plane(env, &Op::Fetch { client, va }, &mut TraceScratch::default())? {
-        OpOutput::U8(v) => Ok(v),
-        _ => unreachable!("fetch returns a byte"),
-    }
-}
-
-/// Copies `data` into a VB through the checked store path. The span lives
-/// in one VB, so the protection check runs once and the home MTL is
-/// visited once for the whole copy.
+/// Copies `data` into a VB through the checked store path — an
+/// [`Op::StoreBytes`] that borrows its span. The span lives in one VB, so
+/// the protection check runs once and the home MTL is visited once for the
+/// whole copy.
 ///
 /// # Errors
 ///
@@ -1220,76 +1236,11 @@ pub fn store_bytes<E: OpEnv>(
     if data.is_empty() {
         return Ok(());
     }
-    // This is the one op-shaped path that bypasses `execute` (to spare the
-    // caller's slice a clone), so it carries the same telemetry boundary.
-    let armed = env.telemetry().is_some_and(Telemetry::armed);
-    let mut scratch = TraceScratch {
-        trace_evictions: armed && env.telemetry().is_some_and(Telemetry::tracing_enabled),
-        ..TraceScratch::default()
-    };
-    let timed = armed && env.telemetry().is_some_and(Telemetry::should_time);
-    let start = timed.then(std::time::Instant::now);
-    let result = store_bytes_inner(env, client, va, data, &mut scratch);
-    if armed {
-        if result.is_err() {
-            scratch.flags |= TraceEvent::FLAG_ERROR;
-        }
-        record_sample(env, OpKind::StoreBytes, Some(client), &scratch, start);
-    }
-    result
-}
-
-fn store_bytes_inner<E: OpEnv>(
-    env: &mut E,
-    client: ClientId,
-    va: VirtualAddress,
-    data: &[u8],
-    scratch: &mut TraceScratch,
-) -> Result<()> {
-    // Not routed through an `Op` to spare the caller's slice a clone; the
-    // span semantics still live once, in `write_span`.
-    let checked = access(env, client, va, AccessKind::Write)?;
-    scratch.vbuid = Some(checked.address.vbuid());
-    if !checked.cvt_cache_hit {
-        scratch.flags |= TraceEvent::FLAG_CVT_FALLBACK;
-    }
-    let attempt = |env: &mut E| {
-        env.with_home_mtl(checked.address.vbuid(), |mtl| {
-            with_pressure(mtl, checked.address, |mtl| write_span(mtl, checked.address, data))
-        })
-    };
-    let (mut result, mut faulted) = attempt(env);
-    if matches!(result, Err(VbiError::OutOfPhysicalMemory)) {
-        let batch = env.config().pressure_reclaim_batch.max(1);
-        if env.borrow_frames(checked.address.vbuid(), batch) > 0 {
-            let (r, f) = attempt(env);
-            result = r;
-            faulted |= f;
-        }
-    }
-    if faulted {
-        scratch.flags |= TraceEvent::FLAG_FAULT_IN;
-        env.note_fault_in(client, va.cvt_index());
-    }
-    result
-}
-
-/// Reads `len` bytes from a VB through the checked load path — one
-/// protection check and one home-MTL visit for the whole span.
-///
-/// # Errors
-///
-/// Any protection or translation error.
-pub fn load_bytes<E: OpEnv>(
-    env: &mut E,
-    client: ClientId,
-    va: VirtualAddress,
-    len: usize,
-) -> Result<Vec<u8>> {
-    match data_plane(env, &Op::LoadBytes { client, va, len }, &mut TraceScratch::default())? {
-        OpOutput::Bytes(bytes) => Ok(bytes),
-        _ => unreachable!("load returns bytes"),
-    }
+    let scratch = TraceScratch::open(env, OpKind::StoreBytes, Some(client), None);
+    recorded(env, scratch, |env, scratch| {
+        data_plane(env, Work::Store(data), (client, va, AccessKind::Write), scratch)
+    })
+    .map(|_| ())
 }
 
 // --- capacity management ----------------------------------------------------
@@ -1347,73 +1298,179 @@ pub fn backing_report<E: OpEnv>(
     }))
 }
 
-// --- dispatcher -------------------------------------------------------------
+// --- telemetry boundary -----------------------------------------------------
 
-/// Records one finished op into the environment's telemetry plane: the
-/// engine-side half of the [`OpEnv::telemetry`] capability. `start` is
-/// `Some` only for ops [`Telemetry::should_time`] elected to clock; untimed
-/// ops still land in the exact per-op counters but skip the clock reads and
-/// the histogram (see the sampling note on [`Telemetry`]).
-fn record_sample<E: OpEnv>(
-    env: &E,
+/// One op's passage through the telemetry boundary: opened before the op
+/// runs ([`TraceScratch::open`]), labelled by the engine while it runs
+/// (which VB it resolved to, its outcome flags), and turned into the op's
+/// one [`OpSample`] by [`record_sample`]. The default is the disarmed
+/// scratch: nothing is clocked, nothing is recorded.
+#[derive(Debug, Clone, Copy, Default)]
+struct TraceScratch {
     kind: OpKind,
     client: Option<ClientId>,
-    scratch: &TraceScratch,
-    start: Option<std::time::Instant>,
-) {
-    let duration_ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+    /// The VB the op names or resolved to (data plane: from the check).
+    vbuid: Option<Vbuid>,
+    /// [`TraceEvent`] flag bits accumulated so far.
+    flags: u8,
+    /// Whether the environment's telemetry plane was armed at `open`.
+    armed: bool,
+    /// Whether to measure the eviction delta (only worth an extra stats
+    /// read when tracing is on).
+    trace_evictions: bool,
+    /// `Some` only for ops [`Telemetry::should_time`] elected to clock;
+    /// untimed ops still land in the exact per-op counters but skip the
+    /// clock reads and the histogram (see the sampling note on
+    /// [`Telemetry`]).
+    start: Option<Instant>,
+}
+
+impl TraceScratch {
+    /// Opens the boundary for one op; with telemetry off (or absent) the
+    /// only cost is one relaxed atomic load.
+    fn open<E: OpEnv>(
+        env: &E,
+        kind: OpKind,
+        client: Option<ClientId>,
+        vbuid: Option<Vbuid>,
+    ) -> Self {
+        match env.telemetry().filter(|telemetry| telemetry.armed()) {
+            Some(telemetry) => Self {
+                kind,
+                client,
+                vbuid,
+                flags: 0,
+                armed: true,
+                trace_evictions: telemetry.tracing_enabled(),
+                start: telemetry.should_time().then(Instant::now),
+            },
+            None => Self::default(),
+        }
+    }
+}
+
+/// Closes the boundary: records one finished op into the environment's
+/// telemetry plane — the engine-side half of the [`OpEnv::telemetry`]
+/// capability, and the only place an [`OpSample`] is built.
+fn record_sample<E: OpEnv>(env: &E, scratch: &TraceScratch, failed: bool) {
+    let Some(telemetry) = env.telemetry().filter(|_| scratch.armed) else { return };
+    let duration_ns = scratch.start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+    let timed = scratch.start.is_some();
     let shards = env.shard_count();
-    if let Some(telemetry) = env.telemetry() {
-        let start_ns =
-            if start.is_some() { telemetry.now_ns().saturating_sub(duration_ns) } else { 0 };
-        telemetry.record(OpSample {
-            kind,
-            client: client.map_or(u32::MAX, |c| u32::from(c.0)),
-            vbid: scratch.vbuid.map_or(0, |v| v.vbid()),
-            shard: scratch.vbuid.map_or(0, |v| Mtl::shard_of(v, shards) as u16),
-            start_ns,
-            duration_ns,
-            flags: scratch.flags,
-            timed: start.is_some(),
-        });
-    }
+    telemetry.record(OpSample {
+        kind: scratch.kind,
+        client: scratch.client.map_or(u32::MAX, |c| u32::from(c.0)),
+        vbid: scratch.vbuid.map_or(0, |v| v.vbid()),
+        shard: scratch.vbuid.map_or(0, |v| Mtl::shard_of(v, shards) as u16),
+        start_ns: if timed { telemetry.now_ns().saturating_sub(duration_ns) } else { 0 },
+        duration_ns,
+        flags: scratch.flags | if failed { TraceEvent::FLAG_ERROR } else { 0 },
+        timed,
+    });
 }
 
-/// Executes one [`Op`] against an environment — the single entry point
-/// every front end (synchronous, batched, queued) funnels through.
-///
-/// When the environment exposes an armed [`Telemetry`] plane, the op's
-/// kind, latency, and outcome are recorded here, at the one boundary every
-/// front end shares; with telemetry off (or absent) the only cost is one
-/// relaxed atomic load.
-pub fn execute<E: OpEnv>(env: &mut E, op: Op) -> OpResult {
-    if env.telemetry().is_some_and(Telemetry::armed) {
-        execute_recorded(env, op)
-    } else {
-        dispatch(env, op, &mut TraceScratch::default())
-    }
-}
-
-fn execute_recorded<E: OpEnv>(env: &mut E, op: Op) -> OpResult {
-    let kind = OpKind::of(&op);
-    let client = op.client();
-    let mut scratch = TraceScratch {
-        vbuid: op.vbuid(),
-        trace_evictions: env.telemetry().is_some_and(Telemetry::tracing_enabled),
-        ..TraceScratch::default()
-    };
-    let timed = env.telemetry().is_some_and(Telemetry::should_time);
-    let start = timed.then(std::time::Instant::now);
-    let result = dispatch(env, op, &mut scratch);
+/// Runs one op — an [`Op`] through [`dispatch`], or [`store_bytes`]'s
+/// borrowed span — inside the telemetry boundary `scratch` opened.
+fn recorded<E: OpEnv>(
+    env: &mut E,
+    mut scratch: TraceScratch,
+    run: impl FnOnce(&mut E, &mut TraceScratch) -> OpResult,
+) -> OpResult {
+    let result = run(env, &mut scratch);
     // Remaps and requests name their VB in the result, not the op.
     if let Ok(OpOutput::Handle(handle)) = &result {
         scratch.vbuid = Some(handle.vbuid);
     }
-    if result.is_err() {
-        scratch.flags |= TraceEvent::FLAG_ERROR;
-    }
-    record_sample(env, kind, client, &scratch, start);
+    record_sample(env, &scratch, result.is_err());
     result
+}
+
+// --- dispatcher -------------------------------------------------------------
+
+/// Executes one [`Op`] against an environment — the entry point of every
+/// front end that runs ops one at a time (sessions, queue workers); batches
+/// enter through [`execute_batch`], which runs the same pieces.
+///
+/// When the environment exposes an armed [`Telemetry`] plane, the op's
+/// kind, latency, and outcome are recorded here; with telemetry off (or
+/// absent) the only cost is one relaxed atomic load.
+pub fn execute<E: OpEnv>(env: &mut E, op: Op) -> OpResult {
+    let scratch = TraceScratch::open(env, OpKind::of(&op), op.client(), op.vbuid());
+    recorded(env, scratch, |env, scratch| dispatch(env, op, scratch))
+}
+
+/// Executes a batch over the **full op surface**, visiting each shard at
+/// most once per run of data-plane ops: protection checks run first, in
+/// batch order (client state only), checked accesses are grouped by home
+/// shard, and each populated shard's MTL is visited a single time for its
+/// whole group — the same locked half, borrow rule, and fault-in
+/// notifications as [`execute`], which serves the group of one. MTL-free
+/// ops (`Access`, empty byte spans) answer inline at their batch position.
+/// Control-plane ops (client/VB management, remaps) act as sequencing
+/// barriers: pending data ops are served before they execute, so a batch
+/// behaves like its sequential execution. Responses come back in request
+/// order.
+///
+/// Within a run of data-plane ops, requests targeting one shard execute in
+/// batch order (an access deferred to the borrow retry runs after its
+/// group); there is no ordering guarantee *across* shards (as in hardware,
+/// independent MTLs serve independent traffic).
+///
+/// Every op is recorded exactly once. A deferred data op's latency runs
+/// from its protection check to the end of its shard's visit.
+pub fn execute_batch<E: OpEnv>(env: &mut E, batch: &[Op]) -> Vec<OpResult> {
+    let mut responses: Vec<Option<OpResult>> = batch.iter().map(|_| None).collect();
+    let mut pending: Vec<Checked<'_>> = Vec::with_capacity(batch.len());
+    for (slot, op) in batch.iter().enumerate() {
+        if let Some(access) = op.checked_access() {
+            let scratch = TraceScratch::open(env, OpKind::of(op), Some(access.0), None);
+            match check(env, Work::Op(op), access, scratch) {
+                Ok(item) => pending.push(Checked { slot, ..item }),
+                // A failed check never reaches an MTL.
+                Err(e) => answer(env, &mut responses, slot, &scratch, Err(e)),
+            }
+        } else {
+            let mtl_free =
+                matches!(op, Op::Access { .. } | Op::LoadBytes { .. } | Op::StoreBytes { .. });
+            if !mtl_free {
+                serve_pending(env, &mut pending, &mut responses);
+            }
+            responses[slot] = Some(execute(env, op.clone()));
+        }
+    }
+    serve_pending(env, &mut pending, &mut responses);
+    responses.into_iter().map(|r| r.expect("every op answered")).collect()
+}
+
+/// Serves the deferred accesses — grouped by home shard, one MTL visit per
+/// populated shard — and answers them.
+fn serve_pending<E: OpEnv>(
+    env: &mut E,
+    pending: &mut Vec<Checked<'_>>,
+    responses: &mut [Option<OpResult>],
+) {
+    let shards = env.shard_count();
+    let shard_of = |item: &Checked<'_>| Mtl::shard_of(item.address.vbuid(), shards);
+    // Stable: batch order survives within each shard's group.
+    pending.sort_by_key(shard_of);
+    for group in pending.chunk_by_mut(|a, b| shard_of(a) == shard_of(b)) {
+        run_group(env, group);
+    }
+    for item in pending.drain(..) {
+        answer(env, responses, item.slot, &item.scratch, item.result);
+    }
+}
+
+/// Records a batched data op and files its response.
+fn answer<E: OpEnv>(
+    env: &E,
+    responses: &mut [Option<OpResult>],
+    slot: usize,
+    scratch: &TraceScratch,
+    result: OpResult,
+) {
+    record_sample(env, scratch, result.is_err());
+    responses[slot] = Some(result);
 }
 
 fn dispatch<E: OpEnv>(env: &mut E, op: Op, scratch: &mut TraceScratch) -> OpResult {
@@ -1444,6 +1501,11 @@ fn dispatch<E: OpEnv>(env: &mut E, op: Op, scratch: &mut TraceScratch) -> OpResu
         | Op::LoadU8 { .. }
         | Op::StoreU8 { .. }
         | Op::LoadBytes { .. }
-        | Op::StoreBytes { .. } => data_plane(env, &op, scratch),
+        | Op::StoreBytes { .. } => match op.checked_access() {
+            Some(access) => data_plane(env, Work::Op(&op), access, scratch),
+            // Empty byte spans complete without any check.
+            None if matches!(op, Op::LoadBytes { .. }) => Ok(OpOutput::Bytes(Vec::new())),
+            None => Ok(OpOutput::Unit),
+        },
     }
 }

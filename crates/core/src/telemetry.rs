@@ -1,7 +1,7 @@
 //! One telemetry plane for every front end (§7.2 made queryable).
 //!
 //! The paper's evaluation is driven by MTL counters; this reproduction has
-//! outgrown plain counters — three front ends, lock-free readers,
+//! outgrown plain counters — four front ends, lock-free readers,
 //! cross-shard migration, and eviction/fault-in all interact under live
 //! traffic. This module is the single place observability lives, threaded
 //! through the op engine so every front end inherits it:

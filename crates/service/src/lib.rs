@@ -46,7 +46,9 @@
 //!   thousands of concurrent logical clients on a handful of OS threads.
 //!
 //! Every request executes through the one op engine in [`vbi_core::ops`] —
-//! the service holds **no** permission, CVT-cache, or stat logic of its
+//! single ops through [`vbi_core::ops::execute`], batches through
+//! [`vbi_core::ops::execute_batch`] — and the service holds **no**
+//! permission, CVT-cache, grouping, retry, telemetry, or stat logic of its
 //! own. It only decides *where state lives* (which shard, which lock) by
 //! implementing [`vbi_core::ops::OpEnv`]. A one-shard service driven by
 //! one thread is therefore *observably identical* to `System` by
@@ -125,7 +127,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use vbi_core::addr::{SizeClass, VbiAddress, Vbuid};
+use vbi_core::addr::{SizeClass, Vbuid};
 use vbi_core::client::{ClientId, ClientIdAllocator, Cvt, CvtEntry};
 use vbi_core::config::VbiConfig;
 use vbi_core::cvt_cache::{ClientCvtCache, CvtCacheStats};
@@ -134,7 +136,7 @@ use vbi_core::mtl::{Mtl, MtlAccess};
 use vbi_core::ops::{self, Op, OpEnv, OpResult};
 use vbi_core::session::{ClientSession, SessionHost};
 use vbi_core::stats::MtlStats;
-use vbi_core::telemetry::{OpKind, OpSample, Snapshot, Telemetry, TraceEvent};
+use vbi_core::telemetry::{Snapshot, Telemetry};
 use vbi_core::tlb::TlbStats;
 use vbi_core::vb::VbProperties;
 
@@ -377,8 +379,17 @@ impl OpEnv for ServiceEnv<'_> {
     }
 
     fn with_home_mtl<R>(&mut self, vbuid: Vbuid, f: impl FnOnce(&mut Mtl) -> R) -> R {
+        self.with_home_mtl_for(vbuid, 1, f)
+    }
+
+    fn with_home_mtl_for<R>(
+        &mut self,
+        vbuid: Vbuid,
+        ops: usize,
+        f: impl FnOnce(&mut Mtl) -> R,
+    ) -> R {
         let shard = self.0.shard_of(vbuid);
-        self.0.inner.shards[shard].ops.fetch_add(1, Ordering::Relaxed);
+        self.0.inner.shards[shard].ops.fetch_add(ops as u64, Ordering::Relaxed);
         f(&mut self.0.lock_shard(shard))
     }
 
@@ -590,8 +601,10 @@ impl VbiService {
     }
 
     /// Executes one [`Op`] through the shared engine against this
-    /// service's sharded state — the single entry point the sessions,
-    /// [`VbiService::submit`], and [`VbiQueue`] workers all funnel through.
+    /// service's sharded state — the entry point of the sessions and the
+    /// [`VbiQueue`] workers. [`VbiService::submit`] enters the same engine
+    /// through its batch entry, which runs control-plane ops through this
+    /// path and data-plane ops through the pieces this path is made of.
     pub fn execute(&self, op: Op) -> OpResult {
         ops::execute(&mut ServiceEnv(self), op)
     }
@@ -636,199 +649,13 @@ impl VbiService {
         Ok(self.inner.clients.resolve(client)?.lock_acquisitions.load(Ordering::Relaxed))
     }
 
-    // --- batched path ----------------------------------------------------------
-
-    /// Executes a batch over the **full op surface**, visiting each shard
-    /// at most once per run of data-plane ops: protection checks run first
-    /// (lock-free for cached reads, client locks otherwise), checked
-    /// accesses are grouped by home shard, and each shard lock is taken a
-    /// single time for its whole group, running the deferred MTL halves
-    /// through [`vbi_core::ops::run_checked`] — the engine's single
-    /// definition of each op's memory effect. MTL-free ops (`Access`,
-    /// empty byte spans) answer inline at their batch position.
-    /// Control-plane ops (client/VB management) act as sequencing
-    /// barriers: pending data ops drain before they execute, so a batch
-    /// behaves like its sequential execution. Responses come back in
-    /// request order.
-    ///
-    /// Within a run of data-plane ops, requests targeting one shard
-    /// execute in batch order; there is no ordering guarantee *across*
-    /// shards (as in hardware, independent MTLs serve independent
-    /// traffic).
+    /// Executes a batch over the **full op surface** through the engine's
+    /// batch entry ([`vbi_core::ops::execute_batch`]): protection checks
+    /// first, then one shard-lock acquisition per populated shard per run
+    /// of data-plane ops, control-plane ops as sequencing barriers,
+    /// responses in request order.
     pub fn submit(&self, batch: &[Op]) -> Vec<OpResult> {
-        let shard_count = self.inner.shards.len();
-        let mut responses: Vec<Option<OpResult>> = batch.iter().map(|_| None).collect();
-        // Per shard: (batch index, checked address) of deferred data ops.
-        let mut pending: Vec<Vec<(usize, VbiAddress)>> = Vec::new();
-        pending.resize_with(shard_count, Vec::new);
-
-        for (i, op) in batch.iter().enumerate() {
-            if let Some((client, va, kind)) = op.checked_access() {
-                // Data-plane: check now (client locks only), defer the MTL
-                // half to the per-shard drain.
-                match ops::access(&mut ServiceEnv(self), client, va, kind) {
-                    Ok(checked) => {
-                        let shard = Mtl::shard_of(checked.address.vbuid(), shard_count);
-                        pending[shard].push((i, checked.address));
-                    }
-                    Err(e) => {
-                        // A failed check never reaches the drain; record it
-                        // here so every submitted op shows up in telemetry
-                        // exactly once.
-                        let telemetry = &self.inner.telemetry;
-                        if telemetry.armed() {
-                            telemetry.record(OpSample {
-                                kind: OpKind::of(op),
-                                client: u32::from(client.0),
-                                vbid: 0,
-                                shard: 0,
-                                start_ns: 0,
-                                duration_ns: 0,
-                                flags: TraceEvent::FLAG_ERROR,
-                                timed: false,
-                            });
-                        }
-                        responses[i] = Some(Err(e));
-                    }
-                }
-            } else {
-                // MTL-free ops (Access, empty byte spans) touch only
-                // client-lock state or nothing at all: run them through the
-                // engine at their batch position, no barrier needed.
-                // Control-plane ops drain pending data ops first so the
-                // batch keeps sequential semantics.
-                let takes_no_shard_lock =
-                    matches!(op, Op::Access { .. } | Op::LoadBytes { .. } | Op::StoreBytes { .. });
-                if !takes_no_shard_lock {
-                    self.drain_pending(batch, &mut pending, &mut responses);
-                }
-                responses[i] = Some(self.execute(op.clone()));
-            }
-        }
-        self.drain_pending(batch, &mut pending, &mut responses);
-        responses.into_iter().map(|r| r.expect("every op answered")).collect()
-    }
-
-    /// Runs every deferred MTL half, one shard lock per populated shard —
-    /// through the engine's pressure path, so an oversubscribed batch
-    /// evicts and retries exactly like the synchronous front end. Fault-in
-    /// notifications go out after each shard lock is released (client
-    /// locks only — the engine's lock order).
-    fn drain_pending(
-        &self,
-        batch: &[Op],
-        pending: &mut [Vec<(usize, VbiAddress)>],
-        responses: &mut [Option<OpResult>],
-    ) {
-        let mut faulted: Vec<usize> = Vec::new();
-        let telemetry = &self.inner.telemetry;
-        let armed = telemetry.armed();
-        let trace_evictions = telemetry.tracing_enabled();
-        // A multi-shard drain may borrow sibling capacity for items the
-        // home shard cannot serve even after eviction; a single-shard
-        // service has no sibling, keeping it op-for-op identical to
-        // `System` (one pressure attempt per op).
-        let can_borrow = self.inner.shards.len() > 1;
-        for (shard, items) in pending.iter_mut().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            self.inner.shards[shard].ops.fetch_add(items.len() as u64, Ordering::Relaxed);
-            // (batch index, address) of items deferred to the borrow retry.
-            let mut starved: Vec<(usize, VbiAddress)> = Vec::new();
-            {
-                let mut mtl = self.lock_shard(shard);
-                for (i, address) in items.drain(..) {
-                    let timed = armed && telemetry.should_time();
-                    let start = if timed { telemetry.now_ns() } else { 0 };
-                    let evictions_before = if trace_evictions { mtl.stats().evictions } else { 0 };
-                    let (result, fault) = ops::run_checked_pressured(&mut mtl, &batch[i], address);
-                    if can_borrow && matches!(result, Err(VbiError::OutOfPhysicalMemory)) {
-                        // Defer: recorded (exactly once) by the retry pass.
-                        starved.push((i, address));
-                        continue;
-                    }
-                    if armed {
-                        let evicted = trace_evictions && mtl.stats().evictions > evictions_before;
-                        self.record_drained(
-                            &batch[i], address, shard, start, timed, &result, fault, evicted,
-                        );
-                    }
-                    responses[i] = Some(result);
-                    if fault {
-                        faulted.push(i);
-                    }
-                }
-            }
-            if !starved.is_empty() {
-                // The shard lock is released: pull capacity over, then run
-                // the starved items once more (still OOM if nothing could
-                // be borrowed — that final result is the recorded one).
-                let want = self.inner.config.base.pressure_reclaim_batch.max(starved.len());
-                self.borrow_frames_for_shard(shard, want);
-                let mut mtl = self.lock_shard(shard);
-                for (i, address) in starved {
-                    let timed = armed && telemetry.should_time();
-                    let start = if timed { telemetry.now_ns() } else { 0 };
-                    let evictions_before = if trace_evictions { mtl.stats().evictions } else { 0 };
-                    let (result, fault) = ops::run_checked_pressured(&mut mtl, &batch[i], address);
-                    if armed {
-                        let evicted = trace_evictions && mtl.stats().evictions > evictions_before;
-                        self.record_drained(
-                            &batch[i], address, shard, start, timed, &result, fault, evicted,
-                        );
-                    }
-                    responses[i] = Some(result);
-                    if fault {
-                        faulted.push(i);
-                    }
-                }
-            }
-        }
-        for i in faulted {
-            if let Some((client, va, _)) = batch[i].checked_access() {
-                self.invalidate_published(client, va.cvt_index());
-            }
-        }
-    }
-
-    /// Records one drained data op's sample. The drain bypasses
-    /// `ops::execute`, so the batched data plane records its own samples —
-    /// the MTL half is the op's latency here (checks were amortized up
-    /// front).
-    #[allow(clippy::too_many_arguments)]
-    fn record_drained(
-        &self,
-        op: &Op,
-        address: VbiAddress,
-        shard: usize,
-        start: u64,
-        timed: bool,
-        result: &OpResult,
-        fault: bool,
-        evicted: bool,
-    ) {
-        let telemetry = &self.inner.telemetry;
-        let mut flags = 0u8;
-        if result.is_err() {
-            flags |= TraceEvent::FLAG_ERROR;
-        }
-        if fault {
-            flags |= TraceEvent::FLAG_FAULT_IN;
-        }
-        if evicted {
-            flags |= TraceEvent::FLAG_EVICT;
-        }
-        telemetry.record(OpSample {
-            kind: OpKind::of(op),
-            client: op.client().map_or(u32::MAX, |c| u32::from(c.0)),
-            vbid: address.vbuid().vbid(),
-            shard: shard as u16,
-            start_ns: start,
-            duration_ns: if timed { telemetry.now_ns().saturating_sub(start) } else { 0 },
-            flags,
-            timed,
-        });
+        ops::execute_batch(&mut ServiceEnv(self), batch)
     }
 
     /// Invalidates the published CVT-cache slot for (`client`, `index`),
@@ -1535,8 +1362,8 @@ mod tests {
             assert_eq!(response.unwrap(), OpOutput::U64(page_tag(v, page)), "vb {v} page {page}");
         }
         let stats = svc.stats();
-        assert!(stats.evictions > 0, "drain_pending must evict under pressure: {stats:?}");
-        assert!(stats.faults_in > 0, "drain_pending must fault pages back in: {stats:?}");
+        assert!(stats.evictions > 0, "a batch must evict under pressure: {stats:?}");
+        assert!(stats.faults_in > 0, "a batch must fault pages back in: {stats:?}");
     }
 
     fn fresh_backing() -> Box<dyn PressureBackend> {

@@ -12,9 +12,12 @@
 //!   client's seqlock-published CVT cache when it hits) and returns
 //!   immediately;
 //! * one **worker thread per shard** drains its ring in FIFO order and
-//!   executes each op through the shared engine
-//!   ([`vbi_core::ops::execute`]) — the same code path the synchronous and
-//!   batched front ends use, so queued execution has identical semantics;
+//!   executes each op, one at a time, through the shared engine
+//!   ([`vbi_core::ops::execute`], via [`VbiService::execute`]) — the same
+//!   entry the synchronous sessions use, built from the same pieces as the
+//!   batch entry behind [`VbiService::submit`]
+//!   ([`vbi_core::ops::execute_batch`]), so queued execution has identical
+//!   semantics;
 //! * finished ops are posted to a shared **completion queue** as tagged
 //!   [`Cqe`]s, which any thread may **reap**, in completion order — out of
 //!   order with respect to submission across shards, exactly like

@@ -353,19 +353,20 @@ proptest! {
     }
 }
 
-#[test]
-fn oversubscribed_sequence_evicts_identically_on_both_engines() {
-    // A fixed sequence that demonstrably overruns the frame budget — four
-    // VBs, 256 touched pages against 160 frames — must engage the
-    // evict/fault-in machinery on both engines, return the exact values
-    // written (ground truth, not just mutual agreement), and keep every
-    // counter identical. An equivalence test that never evicts would prove
-    // nothing about the pressure path.
+/// The value the oversubscribed sequence stores in `page` of `vb` on `round`.
+fn oversubscribed_value(round: u64, vb: u64, page: u64) -> u64 {
+    (round << 32) | (vb << 16) | page
+}
+
+/// A fixed sequence that demonstrably overruns the frame budget of the
+/// config it comes with — four VBs, 256 touched pages (each stored twice)
+/// against 160 frames — followed by a load of every page; the last element
+/// is the index of the first of those loads.
+fn oversubscribed_sequence() -> (VbiConfig, Vec<Op>, usize) {
     let cfg = VbiConfig { phys_frames: 160, ..VbiConfig::vbi_full() };
     let scratch = System::new(cfg.clone());
     let client = scratch.create_client().unwrap().id();
 
-    let value = |round: u64, vb: u64, page: u64| (round << 32) | (vb << 16) | page;
     let mut ops = vec![Op::CreateClient];
     for _ in 0..4 {
         ops.push(Op::RequestVb {
@@ -381,7 +382,7 @@ fn oversubscribed_sequence_evicts_identically_on_both_engines() {
                 ops.push(Op::StoreU64 {
                     client,
                     va: vbi_core::VirtualAddress::new(vb as usize, page << 12),
-                    value: value(round, vb, page),
+                    value: oversubscribed_value(round, vb, page),
                 });
             }
         }
@@ -395,6 +396,17 @@ fn oversubscribed_sequence_evicts_identically_on_both_engines() {
             });
         }
     }
+    (cfg, ops, verify_from)
+}
+
+#[test]
+fn oversubscribed_sequence_evicts_identically_on_both_engines() {
+    // The oversubscribed sequence must engage the evict/fault-in machinery
+    // on both engines, return the exact values written (ground truth, not
+    // just mutual agreement), and keep every counter identical. An
+    // equivalence test that never evicts would prove nothing about the
+    // pressure path.
+    let (cfg, ops, verify_from) = oversubscribed_sequence();
 
     let system = System::new(cfg.clone());
     let system_responses: Vec<OpResult> = ops.iter().map(|op| system.execute(op.clone())).collect();
@@ -407,7 +419,7 @@ fn oversubscribed_sequence_evicts_identically_on_both_engines() {
         let (vb, page) = (i as u64 / 64, i as u64 % 64);
         assert_eq!(
             response.as_ref().ok().and_then(|out| out.as_u64()),
-            Some(value(1, vb, page)),
+            Some(oversubscribed_value(1, vb, page)),
             "vb {vb} page {page} lost its final write"
         );
     }
@@ -480,4 +492,73 @@ fn snapshot_agrees_across_all_three_front_ends() {
     assert_eq!(sys.mtl, q.mtl, "merged MTL views diverged");
     let activity = q.queue.expect("queue snapshot carries queue activity");
     assert_eq!(activity.completed, ops.len() as u64);
+}
+
+/// The trace ring tells the same story whichever way an op entered the
+/// engine: the same sequence run with tracing on through
+/// `System::execute`, `VbiService::execute` and one `VbiService::submit`
+/// batch on a 1-shard machine yields the same multiset of outcome flags per
+/// op kind — errors (failed checks included) and CVT-cache fallbacks for
+/// the random mixed sequence on a roomy machine, fault-ins and evictions
+/// for the oversubscribed one.
+#[test]
+fn trace_flags_agree_between_execute_and_submit() {
+    use std::collections::BTreeMap;
+    use vbi_core::telemetry::{Telemetry, TraceEvent};
+
+    /// How many traced ops of each kind ended with each flag set.
+    fn flags_per_kind(telemetry: &Telemetry, mask: u8) -> BTreeMap<(&'static str, u8), usize> {
+        assert_eq!(telemetry.trace_dropped(), 0, "the ring must hold the whole sequence");
+        let mut counts = BTreeMap::new();
+        for event in telemetry.drain_trace() {
+            *counts.entry((event.kind.name(), event.flags & mask)).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    // Under pressure a fault-in invalidates the service's published CVT
+    // slot, so the *next* check falls back — and a batch has already run
+    // that check. The fallback bit is compared where nothing faults.
+    const ERROR: u8 = TraceEvent::FLAG_ERROR;
+    const FALLBACK: u8 = TraceEvent::FLAG_CVT_FALLBACK;
+    const PRESSURE: u8 = TraceEvent::FLAG_FAULT_IN | TraceEvent::FLAG_EVICT;
+    let roomy = config();
+    let (pressured, pressured_ops, _) = oversubscribed_sequence();
+    for (cfg, ops, mask, raised) in [
+        (roomy.clone(), random_mixed_ops(4242, 400, &roomy), u8::MAX, ERROR | FALLBACK),
+        (pressured, pressured_ops, !FALLBACK, PRESSURE),
+    ] {
+        let phys_frames = cfg.phys_frames;
+        let cfg = VbiConfig { telemetry_tracing: true, trace_capacity: 1024, ..cfg };
+
+        let system = System::new(cfg.clone());
+        for op in &ops {
+            let _ = system.execute(op.clone());
+        }
+        let executed = VbiService::new(ServiceConfig::single(cfg.clone()));
+        for op in &ops {
+            let _ = executed.execute(op.clone());
+        }
+        let submitted = VbiService::new(ServiceConfig::single(cfg));
+        let _ = submitted.submit(&ops);
+
+        let want = flags_per_kind(system.telemetry(), mask);
+        assert_eq!(
+            want.values().sum::<usize>(),
+            ops.len(),
+            "tracing times, and so traces, every op"
+        );
+        let seen = want.keys().fold(0, |seen, (_, flags)| seen | flags);
+        assert_eq!(seen, raised, "{phys_frames} frames: the sequence must raise these flags");
+        assert_eq!(
+            want,
+            flags_per_kind(executed.telemetry(), mask),
+            "{phys_frames} frames: execute"
+        );
+        assert_eq!(
+            want,
+            flags_per_kind(submitted.telemetry(), mask),
+            "{phys_frames} frames: submit"
+        );
+    }
 }

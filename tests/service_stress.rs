@@ -885,29 +885,54 @@ fn destroy_racing_readers_observe_only_clean_states() {
 /// of rounds some store finds *nothing* — free, stealable, or evictable —
 /// and that store (the exact op that used to panic the pressure bench)
 /// must succeed through the sibling-borrow path, never error.
+///
+/// The stranded store is driven three ways — a session verb, a `submit`
+/// batch of one, and a batch mixing it with loads homed on the donor shard
+/// — since single ops and batches reach the borrow retry through the same
+/// engine code; each way must also record every op exactly once.
 #[test]
 fn stranded_table_frames_borrow_capacity_from_sibling_shards() {
+    for drive in [StrandedStore::Session, StrandedStore::BatchOfOne, StrandedStore::MixedBatch] {
+        stranded_store_borrows(drive);
+    }
+}
+
+/// How [`stranded_store_borrows`] issues the store that must borrow.
+#[derive(Debug, Clone, Copy)]
+enum StrandedStore {
+    Session,
+    BatchOfOne,
+    MixedBatch,
+}
+
+fn stranded_store_borrows(drive: StrandedStore) {
+    const DONOR_VALUE: u64 = 0xD0_0D;
     let svc = VbiService::new(ServiceConfig::new(
         2,
         VbiConfig { phys_frames: 64, ..VbiConfig::vbi_full() },
     ));
     let session = svc.create_client().unwrap();
-
-    // Home the victim VB on shard 0.
-    let vb = loop {
+    let client = session.id();
+    let vb_on = |shard: usize| loop {
         let vb = session.request_vb(4 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
-        if svc.shard_of(vb.vbuid) == 0 {
+        if svc.shard_of(vb.vbuid) == shard {
             break vb;
         }
         session.release_vb(vb.cvt_index).unwrap();
     };
+
+    // Home the victim VB on shard 0, and a VB the mixed batch reads on the
+    // donor shard.
+    let vb = vb_on(0);
+    let donor = vb_on(1);
+    session.store_u64(donor.at(0), DONOR_VALUE).unwrap();
     session.store_u64(vb.at(0), 0xFEED_0000_0000_0001).unwrap();
     svc.reclaim_vb_frames(session.id(), vb.cvt_index, 64).unwrap();
 
     let mut clones = Vec::new();
     let mut last_value = 0;
     for round in 0..64u64 {
-        assert!(round < 63, "shard 0 never ran out of reclaimable capacity");
+        assert!(round < 63, "{drive:?}: shard 0 never ran out of reclaimable capacity");
         // Strand every free frame in unreclaimable translation tables.
         loop {
             assert!(clones.len() < 200, "cloning never exhausted shard 0");
@@ -926,7 +951,30 @@ fn stranded_table_frames_borrow_capacity_from_sibling_shards() {
         // frame (shrinking the pool for the next round) or — once nothing
         // is left — borrows from shard 1.
         last_value = 0xFEED_0000_0000_0000 | round;
-        session.store_u64(clones[0].at(0), last_value).unwrap();
+        let store = Op::StoreU64 { client, va: clones[0].at(0), value: last_value };
+        let donor_load = Op::LoadU64 { client, va: donor.at(0) };
+        let recorded_before = svc.snapshot().total_ops();
+        let issued = match drive {
+            StrandedStore::Session => {
+                session.store_u64(clones[0].at(0), last_value).unwrap();
+                1
+            }
+            StrandedStore::BatchOfOne => {
+                assert_eq!(svc.submit(&[store]), [Ok(OpOutput::Unit)]);
+                1
+            }
+            StrandedStore::MixedBatch => {
+                let responses = svc.submit(&[donor_load.clone(), store, donor_load]);
+                let donor_read = Ok(OpOutput::U64(DONOR_VALUE));
+                assert_eq!(responses, [donor_read.clone(), Ok(OpOutput::Unit), donor_read]);
+                3
+            }
+        };
+        assert_eq!(
+            svc.snapshot().total_ops(),
+            recorded_before + issued,
+            "{drive:?}: every issued op is recorded exactly once, borrow retry or not"
+        );
         if svc.frames_borrowed() > 0 {
             break;
         }
@@ -937,21 +985,19 @@ fn stranded_table_frames_borrow_capacity_from_sibling_shards() {
             svc.reclaim_vb_frames(session.id(), clone.cvt_index, 64).unwrap();
         }
     }
-    assert!(svc.frames_borrowed() > 0, "the stranded store must borrow sibling capacity");
+    assert!(
+        svc.frames_borrowed() > 0,
+        "{drive:?}: the stranded store must borrow sibling capacity"
+    );
     assert_eq!(session.load_u64(clones[0].at(0)).unwrap(), last_value);
     // COW isolation: the source still reads its own (faulted-back) value.
     assert_eq!(session.load_u64(vb.at(0)).unwrap(), 0xFEED_0000_0000_0001);
 
     // The donor shard still serves traffic after giving frames away.
-    let sibling = loop {
-        let v = session.request_vb(4 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
-        if svc.shard_of(v.vbuid) == 1 {
-            break v;
-        }
-        session.release_vb(v.cvt_index).unwrap();
-    };
+    let sibling = vb_on(1);
     session.store_u64(sibling.at(0), 0xD0_0D).unwrap();
     assert_eq!(session.load_u64(sibling.at(0)).unwrap(), 0xD0_0D);
+    assert_eq!(session.load_u64(donor.at(0)).unwrap(), DONOR_VALUE);
 }
 
 /// The async front end's acceptance proof: 120 000 awaited ops across
