@@ -1417,7 +1417,9 @@ pub fn execute<E: OpEnv>(env: &mut E, op: Op) -> OpResult {
 /// independent MTLs serve independent traffic).
 ///
 /// Every op is recorded exactly once. A deferred data op's latency runs
-/// from its protection check to the end of its shard's visit.
+/// from its protection check to the end of its shard's visit — which, for
+/// an op queued on a `VbiQueue`, is the visit of the whole burst its worker
+/// took off the ring with it.
 pub fn execute_batch<E: OpEnv>(env: &mut E, batch: &[Op]) -> Vec<OpResult> {
     let mut responses: Vec<Option<OpResult>> = batch.iter().map(|_| None).collect();
     let mut pending: Vec<Checked<'_>> = Vec::with_capacity(batch.len());

@@ -895,6 +895,11 @@ pub struct QueueActivity {
     pub high_water: u64,
     /// Completions ever produced.
     pub completed: u64,
+    /// Bursts the shard workers have drained from their rings: each is one
+    /// ring-lock hold and one pass through the engine's batch entry, so
+    /// `completed / bursts` is the ops-per-burst the hand-off amortizes
+    /// over.
+    pub bursts: u64,
     /// High-water mark of ops in flight at once (submitted, completion not
     /// yet posted) — how deep the pipeline actually got.
     pub inflight_high_water: u64,
@@ -1087,6 +1092,7 @@ impl Snapshot {
                     ("in_flight", J::U(q.in_flight)),
                     ("high_water", J::U(q.high_water)),
                     ("completed", J::U(q.completed)),
+                    ("bursts", J::U(q.bursts)),
                     ("inflight_high_water", J::U(q.inflight_high_water)),
                     ("backpressure_waits", J::U(q.backpressure_waits)),
                 ])),
@@ -1163,6 +1169,7 @@ impl Snapshot {
             line("queue_in_flight", &fe, q.in_flight.to_string());
             line("queue_depth_high_water", &fe, q.high_water.to_string());
             line("queue_completed", &fe, q.completed.to_string());
+            line("queue_bursts", &fe, q.bursts.to_string());
             line("queue_inflight_high_water", &fe, q.inflight_high_water.to_string());
             line("queue_backpressure_waits", &fe, q.backpressure_waits.to_string());
         }
@@ -1679,6 +1686,7 @@ mod tests {
                 in_flight: 2,
                 high_water: 9,
                 completed: 48,
+                bursts: 12,
                 inflight_high_water: 6,
                 backpressure_waits: 11,
             }),
@@ -1693,6 +1701,7 @@ mod tests {
             "\"client_map\":{\"arena_chunks\":1,\"generation_retries\":2,\"locked_fallbacks\":10,\
              \"lockfree_hits\":40,\"slots_dead\":0,\"slots_live\":4}"
         ));
+        assert!(json.contains("\"bursts\":12"));
         assert!(json.contains("\"inflight_high_water\":6"));
         assert!(json.contains("\"backpressure_waits\":11"));
         assert!(json.contains("\"per_shard_fragmentation\":[0.0000,0.2500]"));
@@ -1711,6 +1720,7 @@ mod tests {
         assert!(prom.contains("vbi_client_map_arena_chunks{front_end=\"service\"} 1"));
         assert!(prom.contains("vbi_client_map_slots_live{front_end=\"service\"} 4"));
         assert!(prom.contains("vbi_client_map_slots_dead{front_end=\"service\"} 0"));
+        assert!(prom.contains("vbi_queue_bursts{front_end=\"service\"} 12"));
         assert!(prom.contains("vbi_queue_inflight_high_water{front_end=\"service\"} 6"));
         assert!(prom.contains("vbi_queue_backpressure_waits{front_end=\"service\"} 11"));
         assert!(prom.contains("vbi_mtl_frame_cache_hits{front_end=\"service\"} 0"));

@@ -10,9 +10,11 @@
 //! threads:
 //!
 //! * a **waker registry** keyed by CQE tag: an awaiting future parks its
-//!   [`Waker`] under its tag, and the shard worker that finishes the op
-//!   dispatches the result straight to the registry (via the queue's
-//!   completion hook) and wakes exactly that future — no shared completion
+//!   [`Waker`] under its tag, and the shard worker that finishes a burst
+//!   of ops dispatches each result straight to the registry (via the
+//!   queue's completion hook) and wakes exactly that future; an
+//!   [`Executor`] that was parked is unparked once, after the last wake of
+//!   the burst, so it comes back to the whole burst — no shared completion
 //!   queue, no scan, no reaper thread;
 //! * a minimal **std-only executor**: [`block_on`] for driving one future
 //!   on the current thread and [`Executor`] for cooperatively running many
@@ -47,6 +49,7 @@
 //! *dependent* op must await its predecessor's result first — `await` is
 //! this front end's completion barrier.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
@@ -60,7 +63,7 @@ use vbi_core::ops::{Op, OpOutput, OpResult, VbHandle};
 use vbi_core::perm::Rwx;
 use vbi_core::vb::VbProperties;
 
-use crate::queue::{CompletionHook, VbiQueue, ASYNC_TAG_BIT};
+use crate::queue::{CompletionHook, Cqe, VbiQueue, ASYNC_TAG_BIT};
 use crate::sync::unpoison;
 use crate::{ServiceConfig, VbiService};
 
@@ -113,7 +116,7 @@ enum PendingOp {
 
 /// Tag → pending-op map the shard workers dispatch completions into. This
 /// is the whole notification layer: `register` (waker included) before
-/// submit, `complete` from the worker, `poll_take` from the future.
+/// submit, `complete_burst` from the worker, `poll_take` from the future.
 #[derive(Debug, Default)]
 pub(crate) struct WakerRegistry {
     stripes: Box<[Mutex<TagMap<PendingOp>>]>,
@@ -167,31 +170,52 @@ impl WakerRegistry {
 }
 
 impl CompletionHook for WakerRegistry {
-    /// The worker-side dispatch: park the result, take the waker, wake it
-    /// *after* dropping the stripe lock (the woken task may poll
-    /// immediately from another thread and would deadlock on the stripe).
-    fn complete(&self, tag: u64, result: OpResult) {
-        let waker = {
+    /// The worker-side dispatch, per op of the burst: park the result, take
+    /// the waker *out* from under the stripe lock (the woken task may poll
+    /// immediately from another thread and would deadlock on the stripe)
+    /// and wake it — with the unparks of [`Executor`] threads held back to
+    /// the end of the burst (see [`holding_unparks`]).
+    fn complete_burst(&self, burst: &mut Vec<Cqe>) {
+        let park = |Cqe { tag, result }| {
             let mut stripe = unpoison(self.stripe(tag).lock());
-            match stripe.get_mut(&tag) {
-                Some(entry @ PendingOp::Waiting(_)) => {
-                    let PendingOp::Waiting(waker) =
-                        std::mem::replace(entry, PendingOp::Done(result))
-                    else {
-                        unreachable!("matched Waiting above");
-                    };
-                    Some(waker)
-                }
-                Some(PendingOp::Done(_)) => unreachable!("tag {tag:#x} completed twice"),
-                // The future was dropped mid-flight: the op ran, nobody
-                // wants the answer.
-                None => None,
+            // No entry: the future was dropped mid-flight — the op ran,
+            // nobody wants the answer.
+            match std::mem::replace(stripe.get_mut(&tag)?, PendingOp::Done(result)) {
+                PendingOp::Waiting(waker) => Some(waker),
+                PendingOp::Done(_) => unreachable!("tag {tag:#x} completed twice"),
             }
         };
-        if let Some(waker) = waker {
-            waker.wake();
-        }
+        holding_unparks(|| burst.drain(..).filter_map(park).for_each(Waker::wake));
     }
+}
+
+thread_local! {
+    /// The parked executors the current thread owes an unpark, collected
+    /// while it dispatches a burst (`holding`); the list keeps its capacity
+    /// from burst to burst.
+    static HELD_UNPARKS: RefCell<HeldUnparks> = RefCell::default();
+}
+
+#[derive(Default)]
+struct HeldUnparks {
+    holding: bool,
+    executors: Vec<Arc<ReadyQueue>>,
+}
+
+/// Runs `dispatch` with every unpark of an [`Executor`] thread its wakes
+/// call for only noted, and delivers them when it is through: at most one
+/// per executor, *after* the last task of the burst went onto its ready
+/// list. Delivered wake by wake, the first one unparks an executor that
+/// shares the worker's CPU, which preempts the worker mid-dispatch, polls
+/// the one task it can see and parks again — two context switches per op
+/// instead of per burst.
+fn holding_unparks(dispatch: impl FnOnce()) {
+    HELD_UNPARKS.with_borrow_mut(|held| held.holding = true);
+    dispatch();
+    HELD_UNPARKS.with_borrow_mut(|held| {
+        held.holding = false;
+        held.executors.drain(..).for_each(|ready| ready.unpark());
+    });
 }
 
 // --- backpressure budget -----------------------------------------------------
@@ -701,8 +725,9 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 /// (popping) and completion-side wakers (pushing). The mutexed deque
 /// stands in for a lock-free array queue; contention is one push per
 /// completion. The unpark side is gated on `parked` (Dekker-style with
-/// the executor's drain — see [`Executor::run`]), so a busy executor
-/// costs wakers one flag load, not a second lock.
+/// the executor's drain — see [`Executor::run`]), so a busy executor costs
+/// wakers one flag load, not a second lock; a shard worker delivers the
+/// unparks of a burst together, at its end ([`holding_unparks`]).
 #[derive(Debug, Default)]
 struct ReadyQueue {
     woken: Mutex<VecDeque<u64>>,
@@ -715,15 +740,30 @@ struct ReadyQueue {
 }
 
 impl ReadyQueue {
-    fn wake(&self, id: u64) {
-        unpoison(self.woken.lock()).push_back(id);
+    /// Marks task `id` ready and, if the executor is parked, unparks it —
+    /// at once, or when the burst being dispatched on this thread is
+    /// through.
+    fn wake(this: &Arc<Self>, id: u64) {
+        unpoison(this.woken.lock()).push_back(id);
         // Push, *then* load (both effectively SeqCst through the lock and
         // the flag): either this sees `parked` and unparks, or the
         // executor's re-check after setting `parked` sees the push.
-        if self.parked.load(Ordering::SeqCst) {
-            if let Some(thread) = unpoison(self.executor.lock()).as_ref() {
-                thread.unpark();
+        if this.parked.load(Ordering::SeqCst) {
+            let held = HELD_UNPARKS.with_borrow_mut(|held| {
+                if held.holding && !held.executors.iter().any(|noted| Arc::ptr_eq(noted, this)) {
+                    held.executors.push(Arc::clone(this));
+                }
+                held.holding
+            });
+            if !held {
+                this.unpark();
             }
+        }
+    }
+
+    fn unpark(&self) {
+        if let Some(thread) = unpoison(self.executor.lock()).as_ref() {
+            thread.unpark();
         }
     }
 }
@@ -738,11 +778,11 @@ struct TaskWaker {
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.ready.wake(self.id);
+        ReadyQueue::wake(&self.ready, self.id);
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.wake(self.id);
+        ReadyQueue::wake(&self.ready, self.id);
     }
 }
 
@@ -845,6 +885,7 @@ mod tests {
     use super::*;
     use std::cell::Cell;
     use std::rc::Rc;
+    use std::time::{Duration, Instant};
     use vbi_core::VbiConfig;
 
     fn front(shards: usize) -> AsyncFront {
@@ -905,6 +946,45 @@ mod tests {
         assert_eq!(done.get(), 64);
         assert_eq!(executor.pending(), 0);
         assert_eq!(front.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_burst_reaches_a_parked_executor_whole_with_one_unpark() {
+        let ready = Arc::new(ReadyQueue::default());
+        std::thread::scope(|s| {
+            // The executor's side of the park protocol, reporting how many
+            // ids it finds when it comes back, and whether it was unparked
+            // or gave up waiting (a lost unpark fails the test, not hangs it).
+            let executor = s.spawn(|| {
+                *unpoison(ready.executor.lock()) = Some(std::thread::current());
+                ready.parked.store(true, Ordering::SeqCst);
+                let (started, patience) = (Instant::now(), Duration::from_secs(10));
+                loop {
+                    std::thread::park_timeout(patience);
+                    let woken = unpoison(ready.woken.lock()).len();
+                    if woken > 0 {
+                        return (woken, started.elapsed() < patience);
+                    }
+                }
+            });
+            while !ready.parked.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            holding_unparks(|| {
+                (1..=3).for_each(|id| ReadyQueue::wake(&ready, id));
+                // On the ready list, the unpark noted once and not
+                // delivered: the executor is still parked.
+                HELD_UNPARKS.with_borrow(|held| assert_eq!(held.executors.len(), 1));
+                assert_eq!(unpoison(ready.woken.lock()).len(), 3);
+                assert!(!executor.is_finished());
+            });
+            assert_eq!(executor.join().unwrap(), (3, true), "unparked after the last wake");
+        });
+        // Outside a dispatch nothing is held back (the flag is still up: the
+        // stand-in executor never took it down).
+        HELD_UNPARKS.with_borrow(|held| assert!(!held.holding && held.executors.is_empty()));
+        ReadyQueue::wake(&ready, 4);
+        HELD_UNPARKS.with_borrow(|held| assert!(held.executors.is_empty()));
     }
 
     #[test]

@@ -446,14 +446,16 @@ fn sharding_changes_counters_but_never_bytes() {
 
 /// The unified snapshot reports identical op accounting no matter which
 /// front end carried the traffic: the same mixed sequence run through
-/// `System::execute`, one `VbiService::submit` batch, and tag-at-a-time
-/// submissions on a `VbiQueue` yields the same per-kind op counts and
+/// `System::execute`, one `VbiService::submit` batch, tag-at-a-time
+/// submissions on a `VbiQueue`, and the whole sequence queued on a
+/// `VbiQueue` before anything is reaped (so its worker serves it in bursts,
+/// cut wherever it happens to look) yields the same per-kind op counts and
 /// error counts and the same merged MTL counters — only the front-end
 /// label (and the sampled latency distributions) may differ.
 #[test]
 fn snapshot_agrees_across_all_three_front_ends() {
     use vbi_core::telemetry::{OpKind, Snapshot};
-    use vbi_service::VbiQueue;
+    use vbi_service::{Sqe, VbiQueue};
 
     fn op_counts(snap: &Snapshot) -> Vec<(OpKind, u64, u64)> {
         snap.ops.iter().filter(|o| o.count > 0).map(|o| (o.kind, o.count, o.errors)).collect()
@@ -473,11 +475,22 @@ fn snapshot_agrees_across_all_three_front_ends() {
     // One op in flight at a time keeps the async front end's execution
     // order — and therefore its error accounting — identical to the
     // sequential replays above.
-    let queue = VbiQueue::new(ServiceConfig::single(cfg));
+    let queue = VbiQueue::new(ServiceConfig::single(cfg.clone()));
     for (tag, op) in ops.iter().enumerate() {
         queue.submit(tag as u64, op.clone());
         assert!(queue.reap().is_some(), "queue dropped a completion");
     }
+
+    // Depth 400 on one ring: same-ring FIFO and control-plane barriers keep
+    // a burst equal to its sequential execution, wherever it is cut (the
+    // forced-depth case is `queue.rs`'s deep-ring unit test).
+    let deep = VbiQueue::new(ServiceConfig::single(cfg));
+    deep.submit_all(
+        ops.iter().enumerate().map(|(tag, op)| Sqe { tag: tag as u64, op: op.clone() }),
+    );
+    let mut tags: Vec<u64> = deep.drain().iter().map(|cqe| cqe.tag).collect();
+    tags.sort_unstable();
+    assert!(tags.into_iter().eq(0..ops.len() as u64), "every tag completes exactly once");
 
     let sys = system.snapshot();
     let svc = service.snapshot();
@@ -491,6 +504,12 @@ fn snapshot_agrees_across_all_three_front_ends() {
     assert_eq!(sys.mtl, svc.mtl, "merged MTL views diverged");
     assert_eq!(sys.mtl, q.mtl, "merged MTL views diverged");
     let activity = q.queue.expect("queue snapshot carries queue activity");
+    assert_eq!(activity.completed, ops.len() as u64);
+    assert_eq!(activity.bursts, ops.len() as u64, "one op in flight: every burst is one op");
+    let d = deep.snapshot();
+    assert_eq!(op_counts(&sys), op_counts(&d), "system vs deep-queue snapshot accounting");
+    assert_eq!(sys.mtl, d.mtl, "merged MTL views diverged");
+    let activity = d.queue.expect("queue snapshot carries queue activity");
     assert_eq!(activity.completed, ops.len() as u64);
 }
 

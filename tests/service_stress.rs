@@ -8,14 +8,18 @@
 //! timing based, so the suite is deterministic in what it checks.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::thread;
 
+use vbi::core::ops::VbHandle;
+use vbi::core::swap::PageData;
 use vbi::core::telemetry::OpKind;
+use vbi::core::translate::SwapSlot;
 use vbi::{AccessKind, Op, OpOutput, Rwx, VbProperties, VbiConfig, VbiError, VirtualAddress};
 use vbi_service::{
-    thread_shared_lock_acquisitions, AsyncFront, Cqe, Executor, ServiceConfig, VbiQueue, VbiService,
+    thread_shared_lock_acquisitions, AsyncFront, BackingStore, Cqe, Executor, PressureBackend,
+    ServiceConfig, VbiQueue, VbiService,
 };
 
 const THREADS: usize = 8;
@@ -1140,4 +1144,149 @@ fn vb_churn_racing_eviction_leaks_no_frames() {
         PHYS_FRAMES,
         "every churned frame must return to the buddy or the magazines"
     );
+}
+
+/// `try_store` calls made on [`FaultyBacking`] since the last arming, and
+/// the call that blows up (`with_backing` takes a plain `fn`, so the test's
+/// dial has to be a static).
+static FAULTY_STORES: AtomicU64 = AtomicU64::new(0);
+const FAULT_AT: u64 = 5;
+
+/// The in-memory backing store, except that its `FAULT_AT`-th write-back
+/// panics — a stand-in for an MTL invariant tripping in the middle of a
+/// burst, with the shard lock held.
+#[derive(Debug, Default)]
+struct FaultyBacking(BackingStore);
+
+impl PressureBackend for FaultyBacking {
+    fn try_store(&mut self, data: PageData) -> Result<SwapSlot, PageData> {
+        if FAULTY_STORES.fetch_add(1, Ordering::SeqCst) + 1 == FAULT_AT {
+            panic!("injected backing-store fault");
+        }
+        PressureBackend::try_store(&mut self.0, data)
+    }
+    fn try_store_zero(&mut self) -> Option<SwapSlot> {
+        PressureBackend::try_store_zero(&mut self.0)
+    }
+    fn load(&mut self, slot: SwapSlot) -> Option<PageData> {
+        PressureBackend::load(&mut self.0, slot)
+    }
+    fn peek(&self, slot: SwapSlot) -> Option<&PageData> {
+        PressureBackend::peek(&self.0, slot)
+    }
+    fn duplicate(&mut self, slot: SwapSlot) -> vbi::Result<SwapSlot> {
+        PressureBackend::duplicate(&mut self.0, slot)
+    }
+    fn discard(&mut self, slot: SwapSlot) {
+        PressureBackend::discard(&mut self.0, slot);
+    }
+    fn len(&self) -> usize {
+        PressureBackend::len(&self.0)
+    }
+    fn zero_len(&self) -> usize {
+        PressureBackend::zero_len(&self.0)
+    }
+    fn stored_bytes(&self) -> u64 {
+        PressureBackend::stored_bytes(&self.0)
+    }
+}
+
+/// A panic inside the engine is contained to the burst it happened in, on
+/// both completion paths: every submitted op still completes exactly once
+/// (the faulted burst's with `EngineFault`), the worker survives with
+/// nothing left in flight, and the queue serves the next submission. The
+/// machine is one shard of 64 frames under 4 × 16 dirty pages plus their
+/// tables, so stores evict, evictions write back, and the fifth write-back
+/// panics under the shard lock.
+#[test]
+fn a_panicking_burst_completes_every_op_once_and_the_worker_survives() {
+    const PAGES: u64 = 16;
+    fn faulty_queue() -> VbiQueue {
+        FAULTY_STORES.store(0, Ordering::SeqCst);
+        VbiQueue::new(
+            ServiceConfig::single(VbiConfig { phys_frames: 64, ..VbiConfig::vbi_full() })
+                .with_backing(|| Box::<FaultyBacking>::default()),
+        )
+    }
+    fn is_fault(result: &vbi::OpResult) -> bool {
+        matches!(result, Err(VbiError::EngineFault(message)) if message.contains("injected"))
+    }
+    // Two passes over every page of four VBs: the second pass alone evicts
+    // 64 dirty pages.
+    let store = |c, vbs: &[VbHandle], i: u64| {
+        let (vb, page) = (&vbs[(i / PAGES % 4) as usize], i % PAGES);
+        Op::StoreU64 { client: c, va: vb.at(page << 12), value: i }
+    };
+    const STORES: u64 = 2 * 4 * PAGES;
+
+    // --- reaped completions ---------------------------------------------
+    let queue = faulty_queue();
+    let session = queue.create_client().unwrap();
+    let c = session.id();
+    let vbs: Vec<_> = (0..4)
+        .map(|_| session.request_vb(PAGES << 12, VbProperties::NONE, Rwx::READ_WRITE).unwrap())
+        .collect();
+    // Everything is queued before anything is reaped, so the worker finds
+    // bursts, not single ops.
+    for i in 0..STORES {
+        queue.submit(i, store(c, &vbs, i));
+    }
+    let cqes = queue.drain();
+    assert_eq!(cqes.len() as u64, STORES, "every submission completes");
+    let tags: HashSet<u64> = cqes.iter().map(|cqe| cqe.tag).collect();
+    assert_eq!(tags.len() as u64, STORES, "and completes once");
+    assert!(FAULTY_STORES.load(Ordering::SeqCst) >= FAULT_AT, "the fault must have fired");
+    let faulted = cqes.iter().filter(|cqe| is_fault(&cqe.result)).count();
+    assert!(faulted >= 1, "the panicking burst reports EngineFault");
+    assert_eq!(queue.in_flight(), 0);
+    assert_eq!(queue.completed(), STORES);
+    // The worker is still there: fresh work on a fresh VB round-trips.
+    let fresh = session.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+    queue.submit(1000, Op::StoreU64 { client: c, va: fresh.at(8), value: 77 });
+    queue.submit(1001, Op::LoadU64 { client: c, va: fresh.at(8) });
+    let after = queue.drain();
+    assert_eq!(after.len(), 2);
+    assert_eq!(after[1].result, Ok(OpOutput::U64(77)));
+    assert!(queue.shutdown().is_empty(), "nothing unreaped is left behind");
+
+    // --- awaited completions --------------------------------------------
+    let front = AsyncFront::over(std::sync::Arc::new(faulty_queue()));
+    let session = front.create_session().unwrap();
+    let c = session.id();
+    let vbs: Vec<_> = (0..4)
+        .map(|_| {
+            vbi_service::block_on(session.request_vb(
+                PAGES << 12,
+                VbProperties::NONE,
+                Rwx::READ_WRITE,
+            ))
+            .unwrap()
+        })
+        .collect();
+    // Sixteen tasks on one session (budget 32): each poll round leaves
+    // sixteen ops on the ring.
+    const TASKS: u64 = 16;
+    let outcomes = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let mut executor = Executor::new();
+    for task in 0..TASKS {
+        let (session, outcomes, vbs) = (session.clone(), outcomes.clone(), vbs.clone());
+        executor.spawn(async move {
+            for i in (task..STORES).step_by(TASKS as usize) {
+                let result = session.run(store(c, &vbs, i)).await;
+                outcomes.borrow_mut().push(result);
+            }
+        });
+    }
+    executor.run();
+    let outcomes = outcomes.borrow();
+    assert_eq!(outcomes.len() as u64, STORES, "every awaiting future resolves");
+    assert!(outcomes.iter().any(is_fault), "the panicking burst's futures resolve to Err");
+    assert_eq!(front.outstanding(), 0, "a waker-registry entry leaked");
+    assert_eq!(front.queue().in_flight(), 0);
+    assert_eq!(front.queue().completed(), 4 + STORES);
+    vbi_service::block_on(async {
+        let fresh = session.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).await.unwrap();
+        session.store_u64(fresh.at(8), 78).await.unwrap();
+        assert_eq!(session.load_u64(fresh.at(8)).await.unwrap(), 78);
+    });
 }
