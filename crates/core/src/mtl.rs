@@ -20,7 +20,8 @@
 //!    under pressure, reserved-but-unused frames can be stolen by other VBs,
 //!    demoting the owner to a table-based structure if its contiguity breaks.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Bound::{self, Excluded, Unbounded};
 
 use crate::addr::{SizeClass, VbiAddress, Vbuid};
 use crate::buddy::{BuddyAllocator, Order};
@@ -125,6 +126,18 @@ struct Reservation {
     attempted: bool,
 }
 
+/// Which resident pages one pass of the eviction sweep may evict.
+#[derive(Debug, Clone, Copy)]
+struct SweepPass {
+    /// The pass takes pages of pinned VBs only (`true`) or of unpinned VBs
+    /// only (`false`).
+    pinned: bool,
+    /// No page of this VB.
+    exclude: Option<Vbuid>,
+    /// Not this page.
+    protect: Option<(Vbuid, u64)>,
+}
+
 /// Cushion of unreserved free frames the MTL keeps inside the buddy
 /// allocator proper. [`Mtl::translate`] replenishes the pool to this level
 /// so internal allocations (table nodes, COW copies) never dead-end while
@@ -165,18 +178,30 @@ pub struct Mtl {
     page_tlb: Tlb<(Vbuid, u64), (Frame, bool)>,
     direct_tlb: Tlb<Vbuid, Frame>,
     reservations: HashMap<Vbuid, Reservation>,
-    /// Share counts for live data frames (1 = sole owner; >1 = COW-shared).
+    /// Share counts for live data frames (1 = sole owner; >1 = COW-shared):
+    /// each entry counts the resident pages that map the frame, and a frame
+    /// no page maps has no entry ([`Mtl::audit`] checks both).
     frame_shares: HashMap<u64, u32>,
     /// Reverse map from reserved-region frames to the reservation owner.
     extent_owner: HashMap<u64, Vbuid>,
     swap: Box<dyn PressureBackend>,
+    /// The resident-page index: exactly the `(vbuid, page)` pairs that have
+    /// a frame right now, in the order the eviction sweep visits them. The
+    /// MTL performs every map, unmap, swap-out and fault-in itself (§3.4,
+    /// §5), so it keeps the set current at the places a page gains or loses
+    /// its frame instead of rediscovering it from the translation
+    /// structures; [`Mtl::audit`] checks it against that scan.
+    resident: BTreeSet<(Vbuid, u64)>,
     /// Per-page reference bits, set on every translation of a resident page
     /// (the access information only the MTL sees, §2) and consumed by the
-    /// clock / second-chance eviction sweep. Functional state, not a
+    /// clock / second-chance eviction sweep. Always a subset of `resident`:
+    /// a page that loses its frame loses its bit. Functional state, not a
     /// counter: `reset_stats` leaves it alone.
     ref_bits: HashSet<(Vbuid, u64)>,
-    /// Where the last eviction sweep stopped; the next sweep resumes after
-    /// this page so victims rotate through the resident set.
+    /// The last page the eviction sweep visited (it need not be resident
+    /// any more — usually the sweep has just evicted it); the next sweep
+    /// resumes with the first resident page after it, so victims rotate
+    /// through the resident set.
     clock_hand: Option<(Vbuid, u64)>,
     stats: MtlStats,
     /// Which slice of every size class's VBID space this MTL serves: shard
@@ -184,6 +209,11 @@ pub struct Mtl {
     /// the high-order VBID bits). A standalone MTL is shard 0 of 1.
     shard_index: u64,
     shard_bits: u32,
+    /// Evict with the test module's `reference_sweep` — the scan, sort and
+    /// sweep the resident index replaced — so a differential test can hold
+    /// the two against each other on every reclaim, implicit ones included.
+    #[cfg(test)]
+    sweep_by_scan: bool,
 }
 
 impl Mtl {
@@ -227,11 +257,14 @@ impl Mtl {
             frame_shares: HashMap::new(),
             extent_owner: HashMap::new(),
             swap: Box::new(BackingStore::new()),
+            resident: BTreeSet::new(),
             ref_bits: HashSet::new(),
             clock_hand: None,
             stats: MtlStats::default(),
             shard_index: shard_index as u64,
             shard_bits: shard_count.trailing_zeros(),
+            #[cfg(test)]
+            sweep_by_scan: false,
             config,
         }
     }
@@ -390,8 +423,10 @@ impl Mtl {
     pub fn disable_vb(&mut self, vbuid: Vbuid) -> Result<Vbuid> {
         let entry = self.vits.disable(vbuid)?;
         if let Some(structure) = entry.translation {
-            for (_, frame, _) in structure.mapped_pages() {
+            for (page, frame, _) in structure.mapped_pages() {
                 self.release_data_frame(frame);
+                self.resident.remove(&(vbuid, page));
+                self.ref_bits.remove(&(vbuid, page));
             }
             for (_, slot) in structure.swapped_pages() {
                 self.swap.discard(slot);
@@ -399,7 +434,6 @@ impl Mtl {
             structure.release_tables(&mut self.buddy);
         }
         self.teardown_reservation(vbuid);
-        self.ref_bits.retain(|(vb, _)| *vb != vbuid);
         self.page_tlb.invalidate_matching(|(vb, _)| *vb == vbuid);
         self.direct_tlb.invalidate(&vbuid);
         self.vit_cache.invalidate(&vbuid);
@@ -501,9 +535,11 @@ impl Mtl {
             self.vits.entry_mut(src)?.translation = Some(src_structure);
             return Err(e);
         }
-        // Infallible from here: account the shares, publish both structures.
-        for (_, frame, _) in src_structure.mapped_pages() {
+        // Infallible from here: account the shares (every shared page is
+        // now resident in the clone too), publish both structures.
+        for (page, frame, _) in src_structure.mapped_pages() {
             *self.frame_shares.entry(frame.0).or_insert(1) += 1;
+            self.resident.insert((dst, page));
         }
         self.vits.entry_mut(src)?.translation = Some(src_structure);
         self.vits.entry_mut(dst)?.translation = Some(dst_structure);
@@ -649,6 +685,15 @@ impl Mtl {
             }
             self.vits.entry_mut(src)?.translation = Some(src_structure);
             return Err(e);
+        }
+        // The source's resident pages are the destination's now. Their
+        // reference bits go with the emptied source (a bit is only ever
+        // consumed for a resident page, and the next translation of the
+        // destination's page sets its own).
+        for (page, _, _) in src_structure.mapped_pages() {
+            self.resident.remove(&(src, page));
+            self.ref_bits.remove(&(src, page));
+            self.resident.insert((dst, page));
         }
         src_structure.release_tables(&mut self.buddy);
         // The source's reservation extents are orphaned: the frames now
@@ -875,6 +920,11 @@ impl Mtl {
     /// Moves one mapped page of `vbuid` to the backing store, freeing its
     /// frame (the MTL half of the paper's capacity-management system calls).
     ///
+    /// The VB's translation structure stays in its VIT entry while the
+    /// backend runs, so a backend that panics mid-store costs the VB only
+    /// the payload it had already been handed: that one page stays mapped
+    /// and reads zero, every other page and all frame accounting survive.
+    ///
     /// # Errors
     ///
     /// [`VbiError::VbNotEnabled`], or [`VbiError::SwapFailure`] if the page
@@ -884,70 +934,77 @@ impl Mtl {
         // Direct structures swap per-page only after demotion to tables.
         if let Some(TranslationKind::Direct) = self.vits.entry(vbuid)?.translation_kind() {
             let structure = self.vits.entry_mut(vbuid)?.translation.take().expect("kind known");
-            // A failed demotion (no frame anywhere for the table) must put
-            // the structure back — dropping it would silently unmap the
-            // whole VB. The page simply stays resident.
             match self.demote_with_fallback(vbuid, &structure, None) {
                 Ok(demoted) => {
                     self.vits.entry_mut(vbuid)?.translation = Some(demoted);
                     self.direct_tlb.invalidate(&vbuid);
                     self.vit_cache.invalidate(&vbuid);
                 }
-                Err(VbiError::OutOfPhysicalMemory) => {
-                    // Every frame in the machine holds data, so the demotion
-                    // table cannot be funded the normal way. Eviction must
-                    // still make progress ("need a frame to free a frame"):
-                    // swap the victim out first and let its own frame pay
-                    // for the table.
-                    return self.swap_out_direct_self_funded(vbuid, page, structure);
-                }
                 Err(e) => {
+                    // A failed demotion (no frame anywhere for the table)
+                    // must put the structure back — dropping it would
+                    // silently unmap the whole VB.
                     self.vits.entry_mut(vbuid)?.translation = Some(structure);
+                    if e == VbiError::OutOfPhysicalMemory {
+                        // Every frame in the machine holds data, so the
+                        // demotion table cannot be funded the normal way.
+                        // Eviction must still make progress ("need a frame
+                        // to free a frame"): swap the victim out first and
+                        // let its own frame pay for the table.
+                        return self.swap_out_direct_self_funded(vbuid, page);
+                    }
                     return Err(e);
                 }
             }
         }
-        let mut structure = self
-            .vits
-            .entry_mut(vbuid)?
-            .translation
-            .take()
-            .ok_or(VbiError::SwapFailure { reason: "page not mapped" })?;
-        let result = (|| {
-            let PageEntry::Mapped { frame, cow } = structure.entry(page) else {
-                return Err(VbiError::SwapFailure { reason: "page not mapped" });
-            };
-            if cow && self.frame_shares.get(&frame.0).copied().unwrap_or(1) > 1 {
-                return Err(VbiError::SwapFailure { reason: "page is copy-on-write shared" });
-            }
-            let capacity = self.swap.capacity_pages().unwrap_or(0);
-            let slot = match self.mem.take_frame(frame) {
-                Some(data) => match self.swap.try_store(data) {
-                    Ok(slot) => {
-                        self.stats.writebacks += 1;
-                        slot
-                    }
-                    Err(data) => {
-                        // The backend handed the page back: restore it to
-                        // its frame and leave the mapping untouched.
-                        self.mem.put_frame(frame, data);
-                        return Err(VbiError::BackingStoreFull { capacity_pages: capacity });
-                    }
-                },
-                None => self
-                    .swap
-                    .try_store_zero()
-                    .ok_or(VbiError::BackingStoreFull { capacity_pages: capacity })?,
-            };
-            structure.set_entry(page, PageEntry::Swapped(slot), &mut self.buddy)?;
-            self.release_data_frame(frame);
-            self.page_tlb.invalidate(&(vbuid, page));
-            self.ref_bits.remove(&(vbuid, page));
-            self.stats.pages_swapped_out += 1;
-            Ok(())
-        })();
-        self.vits.entry_mut(vbuid)?.translation = Some(structure);
-        result
+        let (frame, slot) = self.write_back(vbuid, page)?;
+        let structure =
+            self.vits.entry_mut(vbuid)?.translation.as_mut().expect("write_back saw the page");
+        structure.set_entry(page, PageEntry::Swapped(slot), &mut self.buddy)?;
+        self.release_data_frame(frame);
+        self.note_swapped_out(vbuid, page);
+        Ok(())
+    }
+
+    /// The backing-store half of a swap-out: checks that `page` is mapped
+    /// and not copy-on-write shared, hands its payload to the backend and
+    /// returns the frame it still occupies and the slot that now holds it.
+    /// The mapping is untouched — on error (the backend is full and handed
+    /// the page back) the page simply stays resident.
+    fn write_back(&mut self, vbuid: Vbuid, page: u64) -> Result<(Frame, SwapSlot)> {
+        let entry = self.vits.entry(vbuid)?.translation.as_ref().map(|s| s.entry(page));
+        let Some(PageEntry::Mapped { frame, cow }) = entry else {
+            return Err(VbiError::SwapFailure { reason: "page not mapped" });
+        };
+        if cow && self.frame_shares.get(&frame.0).copied().unwrap_or(1) > 1 {
+            return Err(VbiError::SwapFailure { reason: "page is copy-on-write shared" });
+        }
+        let full =
+            VbiError::BackingStoreFull { capacity_pages: self.swap.capacity_pages().unwrap_or(0) };
+        let slot = match self.mem.take_frame(frame) {
+            Some(data) => match self.swap.try_store(data) {
+                Ok(slot) => {
+                    self.stats.writebacks += 1;
+                    slot
+                }
+                Err(data) => {
+                    self.mem.put_frame(frame, data);
+                    return Err(full);
+                }
+            },
+            None => self.swap.try_store_zero().ok_or(full)?,
+        };
+        Ok((frame, slot))
+    }
+
+    /// The bookkeeping every completed swap-out ends with: the page has no
+    /// frame any more, so it leaves the TLB, the resident index and the
+    /// reference bits.
+    fn note_swapped_out(&mut self, vbuid: Vbuid, page: u64) {
+        self.page_tlb.invalidate(&(vbuid, page));
+        self.resident.remove(&(vbuid, page));
+        self.ref_bits.remove(&(vbuid, page));
+        self.stats.pages_swapped_out += 1;
     }
 
     /// Swaps `page` out of a direct-mapped VB when physical memory is so
@@ -959,14 +1016,9 @@ impl Mtl {
     /// therefore the demotion — infallible once the frame is released, so
     /// no rollback of the committed swap store is ever needed.
     ///
-    /// The caller has taken `structure` out of the VIT; every exit restores
-    /// a structure (the original on error, the demoted table on success).
-    fn swap_out_direct_self_funded(
-        &mut self,
-        vbuid: Vbuid,
-        page: u64,
-        structure: TranslationStructure,
-    ) -> Result<()> {
+    /// As in [`Mtl::swap_out_page`], the structure is in its VIT entry
+    /// while the backend runs; on error the VB is as it was.
+    fn swap_out_direct_self_funded(&mut self, vbuid: Vbuid, page: u64) -> Result<()> {
         let size_class = vbuid.size_class();
         let one_frame_table = !matches!(
             TranslationKind::static_policy(size_class),
@@ -976,51 +1028,22 @@ impl Mtl {
             // A multi-frame demotion could still dead-end after the single
             // freed frame; without a safe rollback the only sound answer is
             // the original error. The page stays resident.
-            self.vits.entry_mut(vbuid)?.translation = Some(structure);
             return Err(VbiError::OutOfPhysicalMemory);
         }
-        let PageEntry::Mapped { frame, cow } = structure.entry(page) else {
-            self.vits.entry_mut(vbuid)?.translation = Some(structure);
-            return Err(VbiError::SwapFailure { reason: "page not mapped" });
-        };
-        if cow && self.frame_shares.get(&frame.0).copied().unwrap_or(1) > 1 {
-            self.vits.entry_mut(vbuid)?.translation = Some(structure);
-            return Err(VbiError::SwapFailure { reason: "page is copy-on-write shared" });
-        }
-        let capacity = self.swap.capacity_pages().unwrap_or(0);
-        let slot = match self.mem.take_frame(frame) {
-            Some(data) => match self.swap.try_store(data) {
-                Ok(slot) => {
-                    self.stats.writebacks += 1;
-                    slot
-                }
-                Err(data) => {
-                    self.mem.put_frame(frame, data);
-                    self.vits.entry_mut(vbuid)?.translation = Some(structure);
-                    return Err(VbiError::BackingStoreFull { capacity_pages: capacity });
-                }
-            },
-            None => match self.swap.try_store_zero() {
-                Some(slot) => slot,
-                None => {
-                    self.vits.entry_mut(vbuid)?.translation = Some(structure);
-                    return Err(VbiError::BackingStoreFull { capacity_pages: capacity });
-                }
-            },
-        };
+        let (frame, slot) = self.write_back(vbuid, page)?;
         // The released frame lands either as a Reserved slot (released to
         // the pool by the demotion's funding loop) or directly in the buddy
         // allocator — either way the one-frame table allocation succeeds.
         self.release_data_frame(frame);
+        let structure =
+            self.vits.entry_mut(vbuid)?.translation.take().expect("write_back saw the page");
         let demoted = self
             .demote_with_fallback(vbuid, &structure, Some((page, slot)))
             .expect("the victim's own frame funds a one-frame demotion table");
         self.vits.entry_mut(vbuid)?.translation = Some(demoted);
         self.direct_tlb.invalidate(&vbuid);
         self.vit_cache.invalidate(&vbuid);
-        self.page_tlb.invalidate(&(vbuid, page));
-        self.ref_bits.remove(&(vbuid, page));
-        self.stats.pages_swapped_out += 1;
+        self.note_swapped_out(vbuid, page);
         Ok(())
     }
 
@@ -1077,21 +1100,42 @@ impl Mtl {
 
     /// The eviction sweep behind every reclaim entry point.
     ///
-    /// Victim order is deterministic: candidates are the mapped pages of
-    /// enabled VBs sorted by `(vbuid, page)` and rotated to resume after
-    /// the persistent clock hand, so identically-driven MTLs (the 1-shard
-    /// service vs `System` equivalence, split-vs-combined stats runs) pick
-    /// identical victims regardless of hash-map iteration order. Under
+    /// The sweep walks the resident index — the ordered set of
+    /// `(vbuid, page)` pairs that have a frame, which the MTL keeps current
+    /// as it maps, unmaps, swaps out and faults in — from the persistent
+    /// clock hand, one `O(log n)` range step per page visited. A VB that is
+    /// excluded, or pinned when the pass wants unpinned ones (or the
+    /// reverse), is stepped over whole with one range jump.
+    ///
+    /// Victim order is deterministic because the key order is: candidates
+    /// come up sorted by `(vbuid, page)` and rotated to resume after the
+    /// hand, so identically-driven MTLs (the 1-shard service vs `System`
+    /// equivalence, split-vs-combined stats runs) pick identical victims
+    /// regardless of hash-map iteration order. Under
     /// [`EvictionPolicy::Clock`] a set reference bit buys the page one
     /// sweep of grace (the bit is cleared and the hand moves on); under
     /// [`EvictionPolicy::ScanOrder`] bits are ignored. Unpinned VBs are
     /// always swept before pinned ones.
+    ///
+    /// Two laps bound each pass: the first clears reference bits, the
+    /// second can no longer be refused by them. A lap covers the candidates
+    /// as they stood when the pass began — the sweep only ever removes
+    /// pages it has already visited. The hand rests on the last page
+    /// visited, which is the page just evicted when the sweep met its
+    /// count; when both laps run out first it rests on the last page of the
+    /// first lap, evicted or not, so the next sweep starts where this one
+    /// did.
     fn reclaim_policy(
         &mut self,
         count: usize,
         exclude: Option<Vbuid>,
         protect: Option<(Vbuid, u64)>,
     ) -> usize {
+        debug_assert_eq!(self.audit(), Ok(()));
+        #[cfg(test)]
+        if self.sweep_by_scan {
+            return self.reference_sweep(count, exclude, protect);
+        }
         // Pressure must see every free frame before paying for evictions:
         // return the magazines to the buddy first. (On the engine's
         // allocation-failure path the cache is already empty — a failed
@@ -1099,59 +1143,146 @@ impl Mtl {
         self.frame_cache.flush(&mut self.buddy);
         let mut reclaimed = 0;
         // Two passes: first unpinned VBs, then (reluctantly) pinned ones.
-        for allow_pinned in [false, true] {
-            if reclaimed >= count {
-                break;
-            }
-            let mut candidates: Vec<(Vbuid, u64)> = Vec::new();
-            let vbs: Vec<Vbuid> = self
-                .vits
-                .enabled_vbs()
-                .filter(|vb| Some(*vb) != exclude)
-                .filter(|vb| {
-                    allow_pinned
-                        == self
-                            .vits
-                            .entry(*vb)
-                            .map(|e| e.props.contains(VbProperties::PINNED))
-                            .unwrap_or(false)
-                })
-                .collect();
-            for vb in vbs {
-                if let Some(s) = self.vits.entry(vb).ok().and_then(|e| e.translation.as_ref()) {
-                    candidates.extend(s.mapped_pages().into_iter().map(|(p, _, _)| (vb, p)));
-                }
-            }
-            candidates.retain(|c| Some(*c) != protect);
-            candidates.sort_unstable();
-            if candidates.is_empty() {
-                continue;
-            }
-            // Resume the circular sweep after the hand. Two passes bound
-            // the clock: the first clears reference bits, the second can
-            // no longer be refused by them.
-            let start = match self.clock_hand {
-                Some(hand) => candidates.partition_point(|c| *c <= hand),
-                None => 0,
-            };
-            let n = candidates.len();
-            let second_chance = self.config.eviction == EvictionPolicy::Clock;
-            for step in 0..2 * n {
-                if reclaimed >= count {
-                    break;
-                }
-                let (vb, page) = candidates[(start + step) % n];
-                self.clock_hand = Some((vb, page));
-                if second_chance && self.ref_bits.remove(&(vb, page)) {
-                    continue;
-                }
-                if self.swap_out_page(vb, page).is_ok() {
-                    reclaimed += 1;
-                    self.stats.evictions += 1;
+        for pinned in [false, true] {
+            let pass = SweepPass { pinned, exclude, protect };
+            let start = self.clock_hand;
+            let lap_one_end = self.sweep_lap(pass, start, count, &mut reclaimed);
+            if reclaimed < count && lap_one_end.is_some() {
+                self.sweep_lap(pass, start, count, &mut reclaimed);
+                if reclaimed < count {
+                    // Both laps ran out: park the hand where lap one ended,
+                    // even if that page has since been evicted.
+                    self.clock_hand = lap_one_end;
                 }
             }
         }
         reclaimed
+    }
+
+    /// One lap of a sweep pass: visits the pass's candidates from the page
+    /// after `start` to the end of the index, then from the beginning up to
+    /// `start` itself, evicting until `reclaimed` reaches `count`. Returns
+    /// the last page visited (`None` when it visited none).
+    fn sweep_lap(
+        &mut self,
+        pass: SweepPass,
+        start: Option<(Vbuid, u64)>,
+        count: usize,
+        reclaimed: &mut usize,
+    ) -> Option<(Vbuid, u64)> {
+        let second_chance = self.config.eviction == EvictionPolicy::Clock;
+        let mut after = start.map_or(Unbounded, Excluded);
+        let mut wrapped = false;
+        let mut last = None;
+        while *reclaimed < count {
+            let key = match self.next_candidate(after, pass) {
+                Some(key) if !wrapped || Some(key) <= start => key,
+                None if !wrapped && start.is_some() => {
+                    (after, wrapped) = (Unbounded, true);
+                    continue;
+                }
+                _ => break,
+            };
+            after = Excluded(key);
+            last = Some(key);
+            self.clock_hand = last;
+            if second_chance && self.ref_bits.remove(&key) {
+                continue;
+            }
+            if self.swap_out_page(key.0, key.1).is_ok() {
+                *reclaimed += 1;
+                self.stats.evictions += 1;
+            }
+        }
+        last
+    }
+
+    /// The first resident page after `after` that `pass` may evict.
+    fn next_candidate(
+        &self,
+        mut after: Bound<(Vbuid, u64)>,
+        pass: SweepPass,
+    ) -> Option<(Vbuid, u64)> {
+        loop {
+            let &(vb, page) = self.resident.range((after, Unbounded)).next()?;
+            let pinned = self.vits.entry(vb).is_ok_and(|e| e.props.contains(VbProperties::PINNED));
+            after = if Some(vb) == pass.exclude || pinned != pass.pinned {
+                // Over the whole VB in one jump: no page index reaches
+                // `u64::MAX`.
+                Excluded((vb, u64::MAX))
+            } else if Some((vb, page)) == pass.protect {
+                Excluded((vb, page))
+            } else {
+                return Some((vb, page));
+            };
+        }
+    }
+
+    /// Every mapped page of every enabled VB with the frame it maps, in
+    /// `(vbuid, page)` order, read off the translation structures — what
+    /// the resident index must equal, and what the sweep used to rebuild
+    /// on every call.
+    fn scan_mapped_pages(&self) -> Vec<((Vbuid, u64), Frame)> {
+        let mut mapped = Vec::new();
+        for vb in self.vits.enabled_vbs() {
+            if let Some(s) = self.vits.entry(vb).ok().and_then(|e| e.translation.as_ref()) {
+                mapped.extend(s.mapped_pages().into_iter().map(|(p, frame, _)| ((vb, p), frame)));
+            }
+        }
+        mapped.sort_unstable_by_key(|&(key, _)| key);
+        mapped
+    }
+
+    /// Checks the residency bookkeeping against the translation structures:
+    ///
+    /// * the resident index holds exactly the mapped pages of the enabled
+    ///   VBs;
+    /// * `frame_shares` is the multiset of frames those pages map — every
+    ///   entry counts the pages naming its frame, and no frame is counted
+    ///   that no page maps;
+    /// * every reference bit belongs to a resident page.
+    ///
+    /// Costs a full scan of every translation structure; meant for tests
+    /// and debug builds (the eviction sweep asserts it on entry there).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first law found broken.
+    pub fn audit(&self) -> core::result::Result<(), String> {
+        let mapped = self.scan_mapped_pages();
+        if !mapped.iter().map(|(key, _)| key).eq(self.resident.iter()) {
+            let scanned: BTreeSet<_> = mapped.iter().map(|&(key, _)| key).collect();
+            return Err(format!(
+                "resident index out of step with the translation structures: \
+                 indexed but not mapped {:?}, mapped but not indexed {:?}",
+                self.resident.difference(&scanned).collect::<Vec<_>>(),
+                scanned.difference(&self.resident).collect::<Vec<_>>(),
+            ));
+        }
+        let mut frames: Vec<u64> = mapped.iter().map(|(_, frame)| frame.0).collect();
+        frames.sort_unstable();
+        let mut distinct = 0;
+        for sharers in frames.chunk_by(|a, b| a == b) {
+            distinct += 1;
+            let counted = self.frame_shares.get(&sharers[0]).copied();
+            if counted != Some(sharers.len() as u32) {
+                return Err(format!(
+                    "frame {}: {} resident pages map it, frame_shares counts {counted:?}",
+                    sharers[0],
+                    sharers.len(),
+                ));
+            }
+        }
+        if distinct != self.frame_shares.len() {
+            return Err(format!(
+                "frame_shares counts {} frames, resident pages map {distinct}",
+                self.frame_shares.len(),
+            ));
+        }
+        if let Some(stray) = self.ref_bits.iter().find(|key| !self.resident.contains(key)) {
+            return Err(format!("reference bit on non-resident page {stray:?}"));
+        }
+        Ok(())
     }
 
     /// Binds file contents to a VB (memory-mapped files, §3.4): each page of
@@ -1527,6 +1658,7 @@ impl Mtl {
             self.release_data_frame(frame);
             return Err(e);
         }
+        self.resident.insert((vbuid, page));
         self.mem.zero_frame(frame);
         Ok(frame)
     }
@@ -1560,6 +1692,7 @@ impl Mtl {
             self.release_data_frame(frame);
             return Err(e);
         }
+        self.resident.insert((vbuid, page));
         // Only consume the swap slot once the mapping is committed: a
         // failure above leaves the entry Swapped and the data retrievable.
         if let Some(data) = self.swap.load(slot) {
@@ -1573,43 +1706,48 @@ impl Mtl {
 
     fn resolve_cow(&mut self, vbuid: Vbuid, page: u64, frame: Frame) -> Result<Frame> {
         let shares = self.frame_shares.get(&frame.0).copied().unwrap_or(1);
-        let mut structure =
-            self.vits.entry_mut(vbuid)?.translation.take().expect("mapped page has structure");
-        let result = if shares <= 1 {
-            // Sole owner again: just clear the COW mark.
-            structure
-                .set_entry(page, PageEntry::Mapped { frame, cow: false }, &mut self.buddy)
-                .map(|()| frame)
-        } else {
-            // Copying breaks a direct VB's contiguity; demote before
-            // touching any shared state so failures leave the VB intact.
-            let demoted = if matches!(structure.kind(), TranslationKind::Direct) {
-                match self.demote_structure(vbuid.size_class(), &structure, None) {
-                    Ok(table) => {
-                        structure = table;
-                        self.direct_tlb.invalidate(&vbuid);
-                        self.vit_cache.invalidate(&vbuid);
-                        Ok(())
+        let result = (|| {
+            // Sole owner again: just clear the COW mark. Otherwise copy.
+            let mut private = frame;
+            if shares > 1 {
+                // Copying breaks a direct VB's contiguity; demote before
+                // touching any shared state so failures leave the VB intact.
+                if let Some(TranslationKind::Direct) = self.vits.entry(vbuid)?.translation_kind() {
+                    let structure =
+                        self.vits.entry_mut(vbuid)?.translation.take().expect("kind known");
+                    match self.demote_structure(vbuid.size_class(), &structure, None) {
+                        Ok(table) => {
+                            self.vits.entry_mut(vbuid)?.translation = Some(table);
+                            self.direct_tlb.invalidate(&vbuid);
+                            self.vit_cache.invalidate(&vbuid);
+                        }
+                        Err(e) => {
+                            self.vits.entry_mut(vbuid)?.translation = Some(structure);
+                            return Err(e);
+                        }
                     }
-                    Err(e) => Err(e),
                 }
-            } else {
-                Ok(())
-            };
-            demoted.and_then(|()| self.allocate_page_frame(vbuid, page)).and_then(|new_frame| {
-                self.mem.copy_frame(frame, new_frame);
+                // The structure is in its VIT entry while this runs: the
+                // allocation may sweep for a victim, and the sweep's audit
+                // reads every VB's structure.
+                private = self.allocate_page_frame(vbuid, page)?;
+                self.mem.copy_frame(frame, private);
                 *self.frame_shares.get_mut(&frame.0).expect("shared frame is tracked") -= 1;
                 self.stats.cow_copies += 1;
-                structure
-                    .set_entry(
-                        page,
-                        PageEntry::Mapped { frame: new_frame, cow: false },
-                        &mut self.buddy,
-                    )
-                    .map(|()| new_frame)
-            })
-        };
-        self.vits.entry_mut(vbuid)?.translation = Some(structure);
+            }
+            let structure = self
+                .vits
+                .entry_mut(vbuid)?
+                .translation
+                .as_mut()
+                .expect("mapped page has structure");
+            structure.set_entry(
+                page,
+                PageEntry::Mapped { frame: private, cow: false },
+                &mut self.buddy,
+            )?;
+            Ok(private)
+        })();
         self.page_tlb.invalidate(&(vbuid, page));
         result
     }
@@ -2185,5 +2323,345 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_shard_counts_panic() {
         let _ = Mtl::for_shard(VbiConfig::vbi_full(), 0, 3);
+    }
+
+    /// The in-memory store with two dials: a capacity in pages, and a
+    /// write-back that panics.
+    #[derive(Debug, Default)]
+    struct TestBacking {
+        store: BackingStore,
+        capacity: Option<usize>,
+        /// Which `try_store` call (1-based) panics.
+        panic_on_store: Option<u64>,
+        stores: u64,
+    }
+
+    impl TestBacking {
+        fn is_full(&self) -> bool {
+            self.capacity.is_some_and(|cap| self.store.len() >= cap)
+        }
+    }
+
+    impl PressureBackend for TestBacking {
+        fn try_store(
+            &mut self,
+            data: crate::swap::PageData,
+        ) -> core::result::Result<SwapSlot, crate::swap::PageData> {
+            self.stores += 1;
+            if Some(self.stores) == self.panic_on_store {
+                panic!("injected backing-store fault");
+            }
+            if self.is_full() {
+                return Err(data);
+            }
+            Ok(self.store.store(data))
+        }
+        fn try_store_zero(&mut self) -> Option<SwapSlot> {
+            (!self.is_full()).then(|| self.store.store_zero())
+        }
+        fn load(&mut self, slot: SwapSlot) -> Option<crate::swap::PageData> {
+            self.store.load(slot)
+        }
+        fn peek(&self, slot: SwapSlot) -> Option<&crate::swap::PageData> {
+            self.store.peek(slot)
+        }
+        fn duplicate(&mut self, slot: SwapSlot) -> Result<SwapSlot> {
+            if self.is_full() {
+                return Err(VbiError::BackingStoreFull {
+                    capacity_pages: self.capacity.unwrap_or(0) as u64,
+                });
+            }
+            Ok(self.store.duplicate(slot))
+        }
+        fn discard(&mut self, slot: SwapSlot) {
+            self.store.discard(slot);
+        }
+        fn len(&self) -> usize {
+            self.store.len()
+        }
+        fn zero_len(&self) -> usize {
+            self.store.zero_len()
+        }
+        fn stored_bytes(&self) -> u64 {
+            self.store.stored_bytes()
+        }
+        fn capacity_pages(&self) -> Option<u64> {
+            self.capacity.map(|cap| cap as u64)
+        }
+    }
+
+    fn swap_out_unwinds(m: &mut Mtl, vb: Vbuid, page: u64) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.swap_out_page(vb, page)))
+            .is_err()
+    }
+
+    #[test]
+    fn a_panicking_write_back_costs_one_payload_not_the_vb() {
+        let mut m = Mtl::new(VbiConfig { phys_frames: 64, ..VbiConfig::vbi_full() });
+        m.set_backing(Box::new(TestBacking { panic_on_store: Some(1), ..Default::default() }))
+            .unwrap();
+        let vb = enabled_vb(&mut m, SizeClass::Kib128);
+        for page in 0..16u64 {
+            m.write_u64(vb.address(page << 12).unwrap(), 100 + page).unwrap();
+        }
+        assert!(swap_out_unwinds(&mut m, vb, 0), "the first write-back panics");
+        // The structure was in its VIT entry while the backend ran.
+        assert_eq!(m.translation_kind(vb).unwrap(), Some(TranslationKind::SingleLevel));
+        m.audit().unwrap();
+        // Only the payload the backend had been handed is gone.
+        assert_eq!(m.read_u64(vb.address(0).unwrap()).unwrap(), 0);
+        for page in 1..16u64 {
+            assert_eq!(m.read_u64(vb.address(page << 12).unwrap()).unwrap(), 100 + page);
+        }
+        // The backend works again, and so does eviction.
+        m.swap_out_page(vb, 5).unwrap();
+        assert_eq!(m.read_u64(vb.address(5 << 12).unwrap()).unwrap(), 105);
+        m.audit().unwrap();
+        m.disable_vb(vb).unwrap();
+        assert_eq!(m.free_frames(), 64, "every frame comes back");
+        assert_eq!(m.backing().len(), 0);
+    }
+
+    #[test]
+    fn a_panicking_self_funded_write_back_leaves_the_direct_vb_whole() {
+        let mut m = Mtl::new(VbiConfig { phys_frames: 64, ..VbiConfig::vbi_full() });
+        m.set_backing(Box::new(TestBacking { panic_on_store: Some(1), ..Default::default() }))
+            .unwrap();
+        let direct = enabled_vb(&mut m, SizeClass::Kib128);
+        for page in 0..16u64 {
+            m.write_u64(direct.address(page << 12).unwrap(), 100 + page).unwrap();
+        }
+        // Fill every other frame — the free pool and the direct VB's unused
+        // reservation — with a second VB's pages, stopping short of the
+        // first eviction.
+        let filler = enabled_vb(&mut m, SizeClass::Mib4);
+        let reserved_left = |m: &Mtl| {
+            m.reservations[&direct]
+                .extents
+                .iter()
+                .any(|extent| extent.slots.contains(&SlotState::Reserved))
+        };
+        let mut page = 0u64;
+        while m.free_frames() > 0 || reserved_left(&m) {
+            m.write_u64(filler.address(page << 12).unwrap(), page).unwrap();
+            page += 1;
+        }
+        assert_eq!(m.stats().evictions, 0);
+        assert_eq!(m.translation_kind(direct).unwrap(), Some(TranslationKind::Direct));
+
+        // No frame is left for the demotion table, so the swap-out takes
+        // the self-funded path, and its write-back panics.
+        assert!(swap_out_unwinds(&mut m, direct, 0));
+        assert_eq!(m.translation_kind(direct).unwrap(), Some(TranslationKind::Direct));
+        m.audit().unwrap();
+        for page in 1..16u64 {
+            assert_eq!(m.read_u64(direct.address(page << 12).unwrap()).unwrap(), 100 + page);
+        }
+        // A second attempt completes the self-funded demotion.
+        m.swap_out_page(direct, 1).unwrap();
+        assert_eq!(m.translation_kind(direct).unwrap(), Some(TranslationKind::SingleLevel));
+        m.audit().unwrap();
+        assert_eq!(m.read_u64(direct.address(1 << 12).unwrap()).unwrap(), 101);
+        m.disable_vb(direct).unwrap();
+        m.disable_vb(filler).unwrap();
+        assert_eq!(m.free_frames(), 64, "every frame comes back");
+    }
+
+    impl Mtl {
+        /// The eviction sweep as it was before the resident index: rebuild
+        /// the sorted candidate list from the translation structure of
+        /// every enabled VB, rotate it to the hand, and make two laps over
+        /// the list as it stood when the pass began.
+        pub(super) fn reference_sweep(
+            &mut self,
+            count: usize,
+            exclude: Option<Vbuid>,
+            protect: Option<(Vbuid, u64)>,
+        ) -> usize {
+            self.frame_cache.flush(&mut self.buddy);
+            let mut reclaimed = 0;
+            for allow_pinned in [false, true] {
+                if reclaimed >= count {
+                    break;
+                }
+                let pinned =
+                    |vb| self.vits.entry(vb).is_ok_and(|e| e.props.contains(VbProperties::PINNED));
+                let candidates: Vec<(Vbuid, u64)> = self
+                    .scan_mapped_pages()
+                    .into_iter()
+                    .map(|(key, _)| key)
+                    .filter(|&(vb, _)| Some(vb) != exclude && pinned(vb) == allow_pinned)
+                    .filter(|key| Some(*key) != protect)
+                    .collect();
+                if candidates.is_empty() {
+                    continue;
+                }
+                let start = match self.clock_hand {
+                    Some(hand) => candidates.partition_point(|c| *c <= hand),
+                    None => 0,
+                };
+                let n = candidates.len();
+                let second_chance = self.config.eviction == EvictionPolicy::Clock;
+                for step in 0..2 * n {
+                    if reclaimed >= count {
+                        break;
+                    }
+                    let (vb, page) = candidates[(start + step) % n];
+                    self.clock_hand = Some((vb, page));
+                    if second_chance && self.ref_bits.remove(&(vb, page)) {
+                        continue;
+                    }
+                    if self.swap_out_page(vb, page).is_ok() {
+                        reclaimed += 1;
+                        self.stats.evictions += 1;
+                    }
+                }
+            }
+            reclaimed
+        }
+    }
+
+    /// xorshift64*: `vbi-core` has no dependencies, and the differential
+    /// stream only has to be seeded and varied.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % n
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+    }
+
+    /// Two MTLs built alike and driven by one seeded stream; `index` evicts
+    /// by the resident index, `scan` by [`Mtl::reference_sweep`].
+    struct Differential {
+        index: Mtl,
+        scan: Mtl,
+        live: Vec<Vbuid>,
+    }
+
+    impl Differential {
+        fn new(eviction: EvictionPolicy, swap_pages: Option<usize>) -> Self {
+            let build = |sweep_by_scan| {
+                let config = VbiConfig { phys_frames: 96, eviction, ..VbiConfig::vbi_full() };
+                let mut m = Mtl::new(config);
+                m.set_backing(Box::new(TestBacking { capacity: swap_pages, ..Default::default() }))
+                    .unwrap();
+                m.sweep_by_scan = sweep_by_scan;
+                m
+            };
+            Self { index: build(false), scan: build(true), live: Vec::new() }
+        }
+
+        /// Runs `op` on both MTLs and holds every piece of state the sweep
+        /// reads or writes against its twin.
+        fn both<R: PartialEq + std::fmt::Debug>(
+            &mut self,
+            what: &str,
+            op: impl Fn(&mut Mtl) -> R,
+        ) -> R {
+            let (by_index, by_scan) = (op(&mut self.index), op(&mut self.scan));
+            assert_eq!(by_index, by_scan, "{what}: results differ");
+            assert_eq!(self.index.clock_hand, self.scan.clock_hand, "{what}: clock hand");
+            assert_eq!(self.index.resident, self.scan.resident, "{what}: resident set");
+            assert_eq!(self.index.ref_bits, self.scan.ref_bits, "{what}: reference bits");
+            assert_eq!(self.index.stats(), self.scan.stats(), "{what}: stats");
+            assert_eq!(self.index.free_frames(), self.scan.free_frames(), "{what}: free frames");
+            assert_eq!(self.index.audit(), Ok(()), "{what}");
+            assert_eq!(self.scan.audit(), Ok(()), "{what}");
+            by_index
+        }
+
+        fn enable(&mut self, size_class: SizeClass, props: VbProperties) -> Vbuid {
+            let vb = self.both("enable", |m| {
+                let vb = m.find_free_vb(size_class).unwrap();
+                m.enable_vb(vb, props).unwrap();
+                vb
+            });
+            self.live.push(vb);
+            vb
+        }
+
+        fn disable(&mut self, vb: Vbuid) {
+            self.both("disable", |m| m.disable_vb(vb)).unwrap();
+            self.live.retain(|live| *live != vb);
+        }
+
+        fn step(&mut self, rng: &mut Rng) {
+            const CLASSES: [SizeClass; 3] = [SizeClass::Kib4, SizeClass::Kib128, SizeClass::Mib4];
+            // From one page to more than is ever resident (both laps run out).
+            const COUNTS: [usize; 6] = [1, 1, 2, 5, 8, 200];
+            let roll = rng.below(100);
+            if self.live.len() < 3 || (roll < 6 && self.live.len() < 10) {
+                let props =
+                    if rng.below(4) == 0 { VbProperties::PINNED } else { VbProperties::NONE };
+                self.enable(rng.pick(&CLASSES), props);
+                return;
+            }
+            let vb = rng.pick(&self.live);
+            let page = rng.below(vb.size_class().pages().min(48));
+            let addr = vb.address(page << 12).unwrap();
+            match roll {
+                0..=44 => {
+                    let value = rng.below(u64::MAX);
+                    self.both("write", |m| m.write_u64(addr, value)).ok();
+                }
+                45..=64 => {
+                    self.both("read", |m| m.read_u64(addr)).ok();
+                }
+                65..=68 => self.disable(vb),
+                69..=72 => {
+                    let clone = self.enable(vb.size_class(), VbProperties::NONE);
+                    self.both("clone", |m| m.clone_vb(vb, clone)).ok();
+                }
+                73..=76 if vb.size_class() < SizeClass::Mib4 => {
+                    let larger = self.enable(SizeClass::Mib4, VbProperties::NONE);
+                    if self.both("promote", |m| m.promote_vb(vb, larger)).is_ok() {
+                        self.disable(vb);
+                    }
+                }
+                73..=84 => {
+                    let count = rng.pick(&COUNTS);
+                    self.both("reclaim_pages", |m| m.reclaim_pages(count, vb));
+                }
+                85..=92 => {
+                    let count = rng.pick(&COUNTS);
+                    self.both("reclaim_frames", |m| m.reclaim_frames(count));
+                }
+                _ => {
+                    let count = rng.pick(&COUNTS);
+                    self.both("reclaim_for", |m| m.reclaim_for(vb, page, count));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_index_sweep_picks_the_reference_sweeps_victims() {
+        // Unbounded backing store under both policies, then a store so small
+        // that sweeps meet `BackingStoreFull` half way.
+        for (eviction, swap_pages) in [
+            (EvictionPolicy::Clock, None),
+            (EvictionPolicy::ScanOrder, None),
+            (EvictionPolicy::Clock, Some(40)),
+        ] {
+            for seed in 1..=4u64 {
+                let mut pair = Differential::new(eviction, swap_pages);
+                let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                for _ in 0..1500 {
+                    pair.step(&mut rng);
+                }
+                let stats = pair.index.stats();
+                assert!(stats.evictions > 100, "{eviction:?} seed {seed}: {stats:?}");
+                assert!(stats.faults_in > 0 && stats.demotions > 0 && stats.cow_copies > 0);
+                assert!(stats.vbs_cloned > 0 && stats.promotions > 0);
+            }
+        }
     }
 }

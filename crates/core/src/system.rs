@@ -352,6 +352,16 @@ impl System {
 
     // --- observability -------------------------------------------------------
 
+    /// Checks the MTL's residency bookkeeping against its translation
+    /// structures (see [`Mtl::audit`]).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first law found broken.
+    pub fn audit(&self) -> core::result::Result<(), String> {
+        self.lock().mtl.audit()
+    }
+
     /// The machine's telemetry plane: per-op counters, latency histograms,
     /// and the trace ring. Toggle recording at runtime with
     /// [`Telemetry::set_metrics`] / [`Telemetry::set_tracing`]; drain

@@ -791,6 +791,18 @@ impl VbiService {
 
     // --- telemetry --------------------------------------------------------------
 
+    /// Checks every shard's residency bookkeeping against its translation
+    /// structures (see [`Mtl::audit`]), one shard lock at a time.
+    ///
+    /// # Errors
+    ///
+    /// The first shard found broken, and which law it breaks.
+    pub fn audit(&self) -> core::result::Result<(), String> {
+        (0..self.inner.shards.len()).try_for_each(|shard| {
+            self.lock_shard(shard).audit().map_err(|broken| format!("shard {shard}: {broken}"))
+        })
+    }
+
     /// The telemetry plane: per-stripe op counters and latency histograms,
     /// runtime toggles, and the structured trace ring.
     pub fn telemetry(&self) -> &Telemetry {

@@ -135,6 +135,7 @@ fn swap_thrash_under_extreme_pressure_preserves_data() {
         assert_eq!(client.load_u64(b.at(page << 12)).unwrap(), 400 + page);
     }
     assert!(system.mtl().stats().pages_swapped_out > 0);
+    assert_eq!(system.audit(), Ok(()));
 }
 
 #[test]
@@ -159,6 +160,7 @@ fn pinned_vbs_are_swapped_only_as_a_last_resort() {
         assert_eq!(client.load_u64(pinned.at(page << 12)).unwrap(), page);
         assert_eq!(client.load_u64(victim.at(page << 12)).unwrap(), page);
     }
+    assert_eq!(system.audit(), Ok(()));
 }
 
 #[test]
@@ -185,4 +187,5 @@ fn process_destruction_mid_pressure_releases_swap() {
     for page in 0..24u64 {
         assert_eq!(s2.load_u64(h2.at(page << 12)).unwrap(), 100 + page);
     }
+    assert_eq!(os.system().audit(), Ok(()));
 }

@@ -350,6 +350,8 @@ proptest! {
             "pressure counters diverged (seed {})", seed);
         prop_assert_eq!(service.frames_borrowed(), 0u64,
             "a single-shard service must never borrow");
+        prop_assert_eq!(system.audit(), Ok(()), "system (seed {})", seed);
+        prop_assert_eq!(service.audit(), Ok(()), "service (seed {})", seed);
     }
 }
 
@@ -427,6 +429,8 @@ fn oversubscribed_sequence_evicts_identically_on_both_engines() {
     assert_eq!(stats, service.stats());
     assert!(stats.evictions > 0, "sequence must engage the pressure path: {stats:?}");
     assert!(stats.faults_in > 0, "swapped pages must fault back in: {stats:?}");
+    assert_eq!(system.audit(), Ok(()));
+    assert_eq!(service.audit(), Ok(()));
 }
 
 #[test]

@@ -722,6 +722,7 @@ fn pressure_under_lockfree_readers_is_byte_exact() {
     owner.destroy().unwrap();
     assert_eq!(svc.free_frames(), baseline, "pressure traffic leaked frames");
     assert_eq!(svc.swap_occupancy(), 0, "teardown left orphan backing-store slots");
+    assert_eq!(svc.audit(), Ok(()));
 }
 
 /// The tentpole acceptance proof: a CVT-cache-hit read takes **zero**
@@ -1144,6 +1145,7 @@ fn vb_churn_racing_eviction_leaks_no_frames() {
         PHYS_FRAMES,
         "every churned frame must return to the buddy or the magazines"
     );
+    assert_eq!(svc.audit(), Ok(()));
 }
 
 /// `try_store` calls made on [`FaultyBacking`] since the last arming, and
@@ -1240,6 +1242,8 @@ fn a_panicking_burst_completes_every_op_once_and_the_worker_survives() {
     assert!(faulted >= 1, "the panicking burst reports EngineFault");
     assert_eq!(queue.in_flight(), 0);
     assert_eq!(queue.completed(), STORES);
+    // The write-back that blew up cost its own payload and nothing else.
+    assert_eq!(queue.service().audit(), Ok(()));
     // The worker is still there: fresh work on a fresh VB round-trips.
     let fresh = session.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
     queue.submit(1000, Op::StoreU64 { client: c, va: fresh.at(8), value: 77 });
@@ -1284,6 +1288,7 @@ fn a_panicking_burst_completes_every_op_once_and_the_worker_survives() {
     assert_eq!(front.outstanding(), 0, "a waker-registry entry leaked");
     assert_eq!(front.queue().in_flight(), 0);
     assert_eq!(front.queue().completed(), 4 + STORES);
+    assert_eq!(front.queue().service().audit(), Ok(()));
     vbi_service::block_on(async {
         let fresh = session.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).await.unwrap();
         session.store_u64(fresh.at(8), 78).await.unwrap();
