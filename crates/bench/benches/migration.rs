@@ -7,7 +7,10 @@
 //! reader threads hammer the same VBs through one shared session — every
 //! read is asserted byte-exact in-process, so the sweep doubles as a
 //! correctness check. The final line is a machine-readable JSON summary
-//! (tag `BENCH_migration`) so future PRs can track the trajectory.
+//! (tag `BENCH_migration`) so future PRs can track the trajectory. It is
+//! the one host-throughput sweep outside the `perf` benchmark, which has no
+//! sharded workload yet; it retires into that workload's rows (ROADMAP
+//! item 5(b)).
 //!
 //! Run with `cargo bench -p vbi-bench --bench migration`; set
 //! `VBI_MIGRATION_READS` to change the per-reader load count (default

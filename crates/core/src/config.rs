@@ -59,7 +59,7 @@ pub struct VbiConfig {
     /// Front the buddy allocator with the per-MTL magazine frame cache
     /// (see [`crate::frame_cache`]) so order-0 allocate/free churn skips
     /// the buddy's split/coalesce bookkeeping. `false` is the buddy-only
-    /// baseline the `alloc_churn` bench A/Bs against.
+    /// reference side of `tests/frame_cache_equivalence.rs`.
     pub frame_cache: bool,
     /// Capacity of each of the frame cache's two magazines, in frames.
     pub frame_cache_magazine: usize,

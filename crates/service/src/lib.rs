@@ -170,14 +170,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Machine configuration; `phys_frames` is the machine total.
     pub base: VbiConfig,
-    /// Whether read-kind protection checks may be answered lock-free from
-    /// the seqlock-published CVT cache (default `true`). `false` forces
-    /// every check through the locked path — the baseline the `read_path`
-    /// bench compares against. Client resolution always goes through the
-    /// epoch-validated published tables of the sharded client map, so with
-    /// this on, a CVT-cache-hit read acquires **zero** shared locks end to
-    /// end.
-    pub lockfree_reads: bool,
     /// Factory for each shard's backing store, run once per shard at
     /// construction (default `None` = the in-memory
     /// [`vbi_core::swap::BackingStore`]). A plain `fn` pointer keeps the
@@ -189,20 +181,13 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// A `shards`-way service over `base`.
     pub fn new(shards: usize, base: VbiConfig) -> Self {
-        Self { shards, base, lockfree_reads: true, backing: None }
+        Self { shards, base, backing: None }
     }
 
     /// The degenerate single-shard service — byte- and stats-identical to
     /// a [`vbi_core::System`] under single-threaded driving.
     pub fn single(base: VbiConfig) -> Self {
         Self::new(1, base)
-    }
-
-    /// Selects whether the lock-free read path is used (see
-    /// [`ServiceConfig::lockfree_reads`]).
-    pub fn with_lockfree_reads(mut self, enabled: bool) -> Self {
-        self.lockfree_reads = enabled;
-        self
     }
 
     /// Installs a per-shard backing-store factory (see
@@ -352,23 +337,19 @@ impl OpEnv for ServiceEnv<'_> {
 
     fn with_client_read(&mut self, id: ClientId, index: usize) -> Result<(CvtEntry, bool)> {
         let inner = &self.0.inner;
-        if inner.config.lockfree_reads {
-            // Fast path: map resolution *and* the published CVT-cache
-            // probe inside one epoch-validated window — zero shared locks,
-            // nothing mutated but atomic stat counters. Validating the map
-            // generation after the cache probe makes slot recycling
-            // invisible: destroying the read client bumps its map shard's
-            // generation, so a hit here is proof the client was live with
-            // this exact published entry.
-            if let Some(entry) =
-                inner.clients.read_published(id, |slot| slot.reads.lookup_lockfree(index))
-            {
-                return Ok((entry, true));
-            }
+        // Fast path: map resolution *and* the published CVT-cache probe
+        // inside one epoch-validated window — zero shared locks, nothing
+        // mutated but atomic stat counters. Validating the map generation
+        // after the cache probe makes slot recycling invisible: destroying
+        // the read client bumps its map shard's generation, so a hit here
+        // is proof the client was live with this exact published entry.
+        if let Some(entry) =
+            inner.clients.read_published(id, |slot| slot.reads.lookup_lockfree(index))
+        {
+            return Ok((entry, true));
         }
-        // Slow path (miss, torn read, unpublished client, or lock-free
-        // reads disabled): the locked authoritative lookup, identical to
-        // every other front end.
+        // Slow path (miss, torn read or unpublished client): the locked
+        // authoritative lookup, identical to every other front end.
         let slot = inner.clients.resolve(id)?;
         let mut st = slot.lock();
         if st.cvt.client() != id {
@@ -983,27 +964,6 @@ mod tests {
         let stats_after = c.cvt_cache_stats().unwrap();
         assert_eq!(locks_after, locks_before, "cache-hit reads must take zero client locks");
         assert_eq!(stats_after.lockfree_hits, stats_before.lockfree_hits + 100);
-    }
-
-    #[test]
-    fn lockfree_reads_can_be_disabled() {
-        let svc = VbiService::new(
-            ServiceConfig::new(1, VbiConfig { phys_frames: 4096, ..VbiConfig::vbi_full() })
-                .with_lockfree_reads(false),
-        );
-        let c = svc.create_client().unwrap();
-        let vb = c.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
-        c.store_u64(vb.at(0), 1).unwrap();
-        let locks_before = svc.client_lock_acquisitions(c.id()).unwrap();
-        for _ in 0..10 {
-            c.load_u64(vb.at(0)).unwrap();
-        }
-        assert_eq!(
-            svc.client_lock_acquisitions(c.id()).unwrap(),
-            locks_before + 10,
-            "with lock-free reads off, every read locks"
-        );
-        assert_eq!(c.cvt_cache_stats().unwrap().lockfree_hits, 0);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! * [`multicore`] — quad-core bundles and weighted speedup (Figure 8);
 //! * [`hetero_run`] — PCM-DRAM and TL-DRAM placement experiments
 //!   (Figures 9-10);
-//! * [`mod@service_run`] — the multi-threaded traffic harness for the
-//!   concurrent `vbi-service` (host ops/sec, shard contention, and the
-//!   deterministic replay used by the equivalence suite);
-//! * [`mod@pressure_run`] — the oversubscribed-memory harness (fault rate
-//!   and p50/p99 op latency while the engine evicts and faults in);
+//! * [`service_run`] — the deterministic trace replay the equivalence
+//!   suite pushes through `System` and `vbi-service`, and the cross-shard
+//!   migration driver (host throughput of the front ends is `perf`'s job,
+//!   `BENCHMARK.json`);
 //! * [`report`] — speedup tables with `AVG` / `AVG-no-mcf` rows.
 //!
 //! ```no_run
@@ -32,7 +31,6 @@
 pub mod engine;
 pub mod hetero_run;
 pub mod multicore;
-pub mod pressure_run;
 pub mod report;
 pub mod service_run;
 pub mod systems;
@@ -40,7 +38,5 @@ pub mod systems;
 pub use engine::{run, EngineConfig, RunResult};
 pub use hetero_run::{run_hetero, HeteroRunResult};
 pub use multicore::{run_alone_native, run_bundle, BundleResult};
-pub use pressure_run::{pressure_run, PressureFrontEnd, PressureRunConfig, PressureRunReport};
 pub use report::{geomean, mean, SpeedupTable};
-pub use service_run::{service_run, ServiceRunConfig, ServiceRunReport};
 pub use systems::{build_system, AccessCost, MemorySystem, SystemKind};

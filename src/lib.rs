@@ -20,8 +20,8 @@
 //!   service: a `Send + Sync + Clone` handle over per-shard MTLs (§6.2's
 //!   home-MTL partitioning) with a batched request path;
 //! * `sim` ([`vbi_sim`]) — the end-to-end evaluation engine behind the
-//!   `vbi-bench` figure binaries, plus the multi-threaded service traffic
-//!   harness ([`mod@vbi_sim::service_run`]).
+//!   `vbi-bench` figure binaries, plus the deterministic trace replay and
+//!   the migration driver for the service ([`vbi_sim::service_run`]).
 //!
 //! ## Quick start
 //!

@@ -70,15 +70,36 @@ fn figure9_and_10_policies_all_run() {
 
 #[test]
 fn every_benchmark_runs_on_every_system_briefly() {
-    // The full matrix at miniature scale: no panics, no degenerate results.
+    // Every system and every benchmark at miniature scale: no panics, no
+    // degenerate results. Two covering sweeps, not the 14 x 10 product: a
+    // cell's cost in a debug build is the init phase's one store per
+    // initialised page, not the 400 accesses, so the product is 80 s of
+    // big-footprint set-up. Every system runs the three small footprints;
+    // every benchmark runs on one VBI and one conventional system. The full
+    // product at full length runs in release in CI's `figures` job
+    // (`run_all`: fig6 is 14 benchmarks x 7 systems, fig7 8 x 5). The VBI
+    // column is three quarters of what is left, so it gets a thread of its
+    // own.
     let cfg = EngineConfig { accesses: 400, warmup: 50, seed: 7, phys_frames: 1 << 19 };
-    for name in FIG6_BENCHMARKS {
-        let spec = benchmark(name).unwrap();
-        for kind in SystemKind::ALL {
-            let r = run(kind, &spec, &cfg);
-            assert!(r.cycles > 0 && r.instructions > 0, "{name} on {}", kind.label());
+    let check = |name: &str, kind: SystemKind| {
+        let r = run(kind, &benchmark(name).unwrap(), &cfg);
+        assert!(r.cycles > 0 && r.instructions > 0, "{name} on {}", kind.label());
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for name in FIG6_BENCHMARKS {
+                check(name, SystemKind::VbiFull);
+            }
+        });
+        for name in FIG6_BENCHMARKS {
+            check(name, SystemKind::Native2M);
         }
-    }
+        for name in ["sjeng", "namd", "deepsjeng-17"] {
+            for kind in SystemKind::ALL {
+                check(name, kind);
+            }
+        }
+    });
 }
 
 #[test]

@@ -21,7 +21,7 @@ use vbi_core::ops::{Op, OpResult};
 use vbi_core::system::VbHandle;
 use vbi_core::{ClientId, Rwx, System, VbProperties, VbiConfig};
 use vbi_service::{block_on, AsyncFront, AsyncSession, ServiceConfig, VbiService};
-use vbi_sim::service_run::{replay_on_service, replay_on_system, trace_ops};
+use vbi_sim::service_run::{replay, trace_ops};
 use vbi_workloads::spec::benchmark;
 
 fn config() -> VbiConfig {
@@ -33,11 +33,13 @@ fn system_and_single_shard_service_are_observably_identical() {
     for name in ["mcf", "sjeng", "GemsFDTD"] {
         let spec = benchmark(name).expect("known benchmark");
         let ops = trace_ops(&spec, 2020, 20_000);
-        let (system_loads, system_stats) = replay_on_system(config(), &spec, &ops);
+        let system = System::new(config());
+        let system_loads = replay(&system.create_client().unwrap(), &spec, &ops);
+        let system_stats = system.mtl().stats();
         let service = VbiService::new(ServiceConfig::single(config()));
-        let (service_loads, service_stats) = replay_on_service(&service, &spec, &ops);
+        let service_loads = replay(&service.create_client().unwrap(), &spec, &ops);
         assert_eq!(system_loads, service_loads, "{name}: loads must be byte-identical");
-        assert_eq!(system_stats, service_stats, "{name}: MTL counters must be identical");
+        assert_eq!(system_stats, service.stats(), "{name}: MTL counters must be identical");
         assert!(system_stats.translation_requests > 0, "{name}: trace exercised the MTL");
     }
 }
@@ -50,11 +52,12 @@ fn equivalence_holds_across_config_variants() {
         let spec = benchmark("mcf").expect("known benchmark");
         let ops = trace_ops(&spec, 77, 8_000);
         let cfg = VbiConfig { phys_frames: 1 << 16, ..variant() };
-        let (system_loads, system_stats) = replay_on_system(cfg.clone(), &spec, &ops);
+        let system = System::new(cfg.clone());
+        let system_loads = replay(&system.create_client().unwrap(), &spec, &ops);
         let service = VbiService::new(ServiceConfig::single(cfg));
-        let (service_loads, service_stats) = replay_on_service(&service, &spec, &ops);
+        let service_loads = replay(&service.create_client().unwrap(), &spec, &ops);
         assert_eq!(system_loads, service_loads);
-        assert_eq!(system_stats, service_stats);
+        assert_eq!(system.mtl().stats(), service.stats());
     }
 }
 
@@ -441,11 +444,11 @@ fn sharding_changes_counters_but_never_bytes() {
     // to data.
     let spec = benchmark("mcf").expect("known benchmark");
     let ops = trace_ops(&spec, 2020, 20_000);
-    let (system_loads, _) = replay_on_system(config(), &spec, &ops);
+    let system_loads = replay(&System::new(config()).create_client().unwrap(), &spec, &ops);
     let service = VbiService::new(ServiceConfig::new(4, config()));
-    let (service_loads, stats) = replay_on_service(&service, &spec, &ops);
+    let service_loads = replay(&service.create_client().unwrap(), &spec, &ops);
     assert_eq!(system_loads, service_loads, "sharding must not change data");
-    assert!(stats.translation_requests > 0);
+    assert!(service.stats().translation_requests > 0);
 }
 
 /// The unified snapshot reports identical op accounting no matter which

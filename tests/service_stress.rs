@@ -19,7 +19,7 @@ use vbi::core::translate::SwapSlot;
 use vbi::{AccessKind, Op, OpOutput, Rwx, VbProperties, VbiConfig, VbiError, VirtualAddress};
 use vbi_service::{
     thread_shared_lock_acquisitions, AsyncFront, BackingStore, Cqe, Executor, PressureBackend,
-    ServiceConfig, VbiQueue, VbiService,
+    ServiceConfig, ServiceSession, VbiQueue, VbiService,
 };
 
 const THREADS: usize = 8;
@@ -344,6 +344,54 @@ fn concurrent_churn_leaks_nothing() {
     });
     assert_eq!(svc.free_frames(), baseline, "churn leaked physical frames");
     assert!(svc.stats().pages_allocated > 0);
+}
+
+/// Pressure-free order-0 churn across threads: each cycle requests a
+/// one-page VB, stores, loads it back, stores to a long-lived VB and
+/// releases — one frame allocated and one freed on the worker's home shard
+/// per cycle, which is the traffic the magazine frame cache fronts. With
+/// memory ample (no eviction flushes the magazines) steady-state churn
+/// must be served from them, and every churned frame must come back.
+#[test]
+fn order0_churn_is_magazine_served_and_leaks_nothing() {
+    const WORKERS: usize = 4;
+    const CYCLES: u64 = 500;
+    let svc = service(4);
+    let cycle = |client: &ServiceSession, persistent: &VbHandle, value: u64| {
+        let vb = client.request_vb(4 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+        client.store_u64(vb.at(0), value).unwrap();
+        assert_eq!(client.load_u64(vb.at(0)).unwrap(), value, "stale churned read");
+        client.store_u64(persistent.at(0), value).unwrap();
+        client.release_vb(vb.cvt_index).unwrap();
+    };
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|_| {
+            let client = svc.create_client().unwrap();
+            let persistent =
+                client.request_vb(64 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+            // One warm-up cycle: first-touch table frames and the first
+            // magazine refill land before the counters are snapped.
+            cycle(&client, &persistent, 0);
+            (client, persistent)
+        })
+        .collect();
+    let before = svc.stats();
+    let free_before = svc.free_frames();
+    thread::scope(|s| {
+        for (t, (client, persistent)) in workers.iter().enumerate() {
+            s.spawn(move || {
+                for i in 0..CYCLES {
+                    cycle(client, persistent, t as u64 * CYCLES + i);
+                }
+            });
+        }
+    });
+    let after = svc.stats();
+    let hits = after.frame_cache_hits - before.frame_cache_hits;
+    let misses = after.frame_cache_misses - before.frame_cache_misses;
+    assert!(hits > misses, "churn must be magazine-served (hits {hits}, misses {misses})");
+    assert_eq!(svc.free_frames(), free_before, "churn leaked physical frames");
+    assert_eq!(svc.audit(), Ok(()));
 }
 
 /// The seqlock read path under attach/detach fire, seeded and byte-exact:
@@ -874,8 +922,8 @@ fn destroy_racing_readers_observe_only_clean_states() {
     }
 }
 
-/// The regression proof for the `BENCH_pressure` setup flake (ROADMAP
-/// item 6): when a store's home shard holds no reclaimable capacity —
+/// The regression proof for a flake that first showed in an oversubscribed
+/// sweep's set-up: when a store's home shard holds no reclaimable capacity —
 /// every frame stranded in translation tables, no reserved slot left to
 /// steal, no resident page left to evict — the engine borrows frames from
 /// sibling shards instead of surfacing `OutOfPhysicalMemory`.
@@ -951,7 +999,7 @@ fn stranded_store_borrows(drive: StrandedStore) {
             }
         }
         assert!(!clones.is_empty(), "at least one clone must fit before exhaustion");
-        // The write that used to panic `BENCH_pressure` setup. It must
+        // The write that used to fail with `OutOfPhysicalMemory`. It must
         // NEVER error: it either steals/evicts shard 0's last reclaimable
         // frame (shrinking the pool for the next round) or — once nothing
         // is left — borrows from shard 1.
