@@ -125,22 +125,6 @@ impl BuddyAllocator {
         Some(Frame(start))
     }
 
-    /// Allocates the largest available block no bigger than `max_order`.
-    ///
-    /// Used by early reservation when the full VB does not fit contiguously:
-    /// the MTL then "reserves blocks of the largest size class that can be
-    /// allocated contiguously" (§5.3).
-    pub fn allocate_best(&mut self, max_order: Order) -> Option<(Frame, Order)> {
-        let best = (0..=max_order.min(self.free_lists.len() as Order - 1))
-            .rev()
-            .find(|&o| !self.free_lists[o as usize].is_empty() || self.can_split_down_to(o))?;
-        self.allocate(best).map(|f| (f, best))
-    }
-
-    fn can_split_down_to(&self, order: Order) -> bool {
-        self.free_lists.iter().enumerate().any(|(o, l)| o as Order >= order && !l.is_empty())
-    }
-
     /// Allocates a contiguous block of `2^order` frames but registers every
     /// frame as an *individual* order-0 allocation, so each can later be
     /// freed independently with `free(frame, 0)`.
@@ -301,18 +285,6 @@ mod tests {
         assert!(buddy.allocate(2).is_some());
         assert!(buddy.allocate(0).is_none());
         assert!(!buddy.can_allocate(0));
-    }
-
-    #[test]
-    fn allocate_best_degrades_gracefully() {
-        let mut buddy = BuddyAllocator::new(16);
-        // Fragment: take one frame so no order-4 block exists.
-        let a = buddy.allocate(0).unwrap();
-        let (b, order) = buddy.allocate_best(4).expect("something is free");
-        assert_eq!(order, 3, "largest remaining block is 8 frames");
-        buddy.free(a, 0);
-        buddy.free(b, order);
-        assert_eq!(buddy.free_frames(), 16);
     }
 
     #[test]

@@ -58,8 +58,13 @@ pub struct VbiConfig {
     pub trace_capacity: usize,
     /// Front the buddy allocator with the per-MTL magazine frame cache
     /// (see [`crate::frame_cache`]) so order-0 allocate/free churn skips
-    /// the buddy's split/coalesce bookkeeping. `false` is the buddy-only
-    /// reference side of `tests/frame_cache_equivalence.rs`.
+    /// the buddy's split/coalesce bookkeeping. No production caller sets it
+    /// `false`: that is the buddy-only reference side of the two properties
+    /// in `tests/frame_cache_equivalence.rs`, and the switch itself is
+    /// pinned by `perf`'s direct-call layer (`FrameCache::new(bool, ..)`),
+    /// which is why it stays. It is read inside
+    /// [`crate::frame_cache::FrameCache`] only; the MTL never branches on
+    /// it.
     pub frame_cache: bool,
     /// Capacity of each of the frame cache's two magazines, in frames.
     pub frame_cache_magazine: usize,

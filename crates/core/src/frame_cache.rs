@@ -1,4 +1,5 @@
-//! Magazine-style order-0 frame cache fronting the buddy allocator.
+//! The MTL's one allocator surface: [`FrameAllocator`], a buddy allocator
+//! fronted by a magazine-style order-0 frame cache ([`FrameCache`]).
 //!
 //! Every allocating data-plane operation — first-touch stores, fault-ins,
 //! copy-on-write resolutions, and the constant request/release churn of a
@@ -19,23 +20,34 @@
 //!
 //! Cached frames remain registered as *allocated* order-0 blocks inside
 //! the buddy, so the buddy's own invariants (double-free panics, merge
-//! bounds) keep holding; the MTL's `free_frames()` gauge stays exact by
+//! bounds) keep holding; [`FrameAllocator::free_frames`] stays exact by
 //! summing `buddy free + cache len`.
+//!
+//! # One owner
+//!
+//! [`FrameAllocator`] holds the buddy and the magazines privately and
+//! serves the three kinds of request the MTL makes, each finding the
+//! frames it needs by itself: a **data frame** (through the magazines), a
+//! **table block** (from the buddy proper, below the cache — and if the
+//! buddy cannot fund it while the magazines hold frames, they are returned
+//! and it is asked again) and a **contiguous run** (an early reservation;
+//! order > 0 drains the magazines first, because scattered cached frames
+//! can only hurt contiguity). No caller flushes, and none can forget to:
+//! the cache is capacity-invisible because nothing outside this module can
+//! reach past it.
 //!
 //! # The headroom rule
 //!
 //! The cache must never make the system fail an allocation that the bare
-//! buddy would have satisfied. Translation-table frames are allocated
-//! *inside* the buddy (by `TranslationStructure::set_entry` and friends),
-//! below the cache, so the cache only holds frames while the buddy keeps
-//! a cushion of `headroom` free frames of its own: refills never pull the
-//! buddy below the cushion, and frees route straight to the buddy
+//! buddy would have satisfied. It only holds frames while the buddy keeps
+//! a cushion of [`POOL_HEADROOM`] free frames of its own: refills never
+//! pull the buddy below the cushion, and frees route straight to the buddy
 //! whenever it is short. Under memory pressure the cache therefore drains
-//! and becomes inert — pressure, ballooning, and cross-shard donation see
-//! every free frame (the MTL additionally flushes the cache outright at
-//! those entry points).
+//! and becomes inert, so a table allocation almost never has to wait for
+//! the magazines to be returned — and when it does, it finds them.
 
 use crate::buddy::{BuddyAllocator, Order};
+use crate::config::VbiConfig;
 use crate::phys::Frame;
 
 /// Counters for one [`FrameCache`] (folded into
@@ -49,8 +61,9 @@ pub struct FrameCacheStats {
     pub cache_misses: u64,
     /// Batch refills pulled from the buddy into the loaded magazine.
     pub refills: u64,
-    /// Times the cache was flushed back into the buddy by policy
-    /// (pressure, donation, control-plane ops needing exact occupancy).
+    /// Times cached frames were returned to the buddy by policy (an
+    /// order > 0 run, a table block the buddy alone could not fund, a
+    /// donation, a free-pool top-up).
     pub flushes: u64,
     /// Full magazines returned to the buddy in bulk on the free path.
     pub batch_frees: u64,
@@ -86,11 +99,6 @@ impl FrameCache {
             previous: Vec::with_capacity(magazine),
             stats: FrameCacheStats::default(),
         }
-    }
-
-    /// Whether the cache fronts the buddy at all.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Frames currently held across both magazines.
@@ -187,10 +195,7 @@ impl FrameCache {
         self.loaded.push(frame);
     }
 
-    /// Returns every cached frame to the buddy. Called before any
-    /// operation that must see exact buddy occupancy (pressure reclaim,
-    /// cross-shard donation, control-plane ops allocating table frames in
-    /// bulk). Returns how many frames moved.
+    /// Returns every cached frame to the buddy and reports how many moved.
     pub fn flush(&mut self, buddy: &mut BuddyAllocator) -> u64 {
         let moved = self.len();
         if moved == 0 {
@@ -217,6 +222,189 @@ impl FrameCache {
             self.stats.flushes += 1;
         }
         moved
+    }
+}
+
+/// Cushion of free frames [`FrameAllocator`] keeps inside the buddy
+/// proper, below the magazines. The MTL tops the pool up to this level on
+/// every translation (releasing reserved-but-unused frames if it must), so
+/// internal allocations — table nodes, COW copies — never dead-end while
+/// reservations hold free memory hostage; the magazines honour the same
+/// level (see *The headroom rule* in the module docs).
+pub const POOL_HEADROOM: u64 = 16;
+
+/// The physical-frame allocator of one MTL: the buddy and its magazines
+/// behind one surface.
+///
+/// # Examples
+///
+/// ```
+/// use vbi_core::{FrameAllocator, VbiConfig};
+///
+/// let mut frames = FrameAllocator::new(&VbiConfig { phys_frames: 1024, ..VbiConfig::default() });
+/// let data = frames.allocate().expect("a data frame");
+/// let table = frames.allocate_table(1).expect("a two-frame table block");
+/// let run = frames.allocate_run(5).expect("a 32-frame reservation");
+/// assert_eq!(frames.held_frames(), 1 + 2 + 32);
+/// frames.free(data);
+/// frames.free_table(table, 1);
+/// for i in 0..32 {
+///     frames.free(run.offset(i));
+/// }
+/// assert_eq!(frames.free_frames(), 1024);
+/// ```
+#[derive(Debug)]
+pub struct FrameAllocator {
+    buddy: BuddyAllocator,
+    cache: FrameCache,
+    /// Frames [`FrameAllocator::retire`] took out of circulation for good.
+    retired: u64,
+}
+
+impl FrameAllocator {
+    /// An allocator over `config.phys_frames` frames, its magazines sized
+    /// (or switched off) by the `frame_cache*` fields.
+    pub fn new(config: &VbiConfig) -> Self {
+        Self {
+            buddy: BuddyAllocator::new(config.phys_frames),
+            cache: FrameCache::new(
+                config.frame_cache,
+                config.frame_cache_magazine,
+                config.frame_cache_refill,
+            ),
+            retired: 0,
+        }
+    }
+
+    /// Allocates one data frame: from the magazines, refilled from the
+    /// buddy while it keeps [`POOL_HEADROOM`], else from the bare buddy.
+    #[inline]
+    pub fn allocate(&mut self) -> Option<Frame> {
+        self.cache.allocate(&mut self.buddy, POOL_HEADROOM)
+    }
+
+    /// Frees one frame into the magazines (straight into the buddy while
+    /// it is below its cushion).
+    #[inline]
+    pub fn free(&mut self, frame: Frame) {
+        self.cache.free(&mut self.buddy, frame, POOL_HEADROOM);
+    }
+
+    /// Allocates a naturally aligned block of `2^order` frames for a
+    /// translation table, from the buddy proper. A buddy that cannot fund
+    /// it while the magazines hold frames gets them back and is asked
+    /// again, so `None` means no such block exists anywhere.
+    pub fn allocate_table(&mut self, order: Order) -> Option<Frame> {
+        if let Some(base) = self.buddy.allocate(order) {
+            return Some(base);
+        }
+        if self.cache.flush(&mut self.buddy) == 0 {
+            return None;
+        }
+        self.buddy.allocate(order)
+    }
+
+    /// Frees a block [`FrameAllocator::allocate_table`] returned.
+    pub fn free_table(&mut self, frame: Frame, order: Order) {
+        self.buddy.free(frame, order);
+    }
+
+    /// Allocates `2^order` contiguous frames, each registered as its own
+    /// order-0 allocation so the run can be handed back one frame at a time
+    /// (early reservation, §5.3). A one-frame run is a data frame; a longer
+    /// one drains the magazines first. A run larger than the machine is
+    /// refused before anything is disturbed.
+    pub fn allocate_run(&mut self, order: Order) -> Option<Frame> {
+        if order == 0 {
+            return self.allocate();
+        }
+        if order > self.buddy.total_frames().ilog2() {
+            return None;
+        }
+        self.drain();
+        self.buddy.allocate_split(order)
+    }
+
+    /// Frees one frame straight into the buddy's pool, past the magazines:
+    /// a reserved frame released to raise the pool.
+    pub fn free_to_pool(&mut self, frame: Frame) {
+        self.buddy.free(frame, 0);
+    }
+
+    /// Moves cached frames into the pool until it holds `target` frames or
+    /// the magazines are empty — the cheapest way to raise the pool, tried
+    /// before anyone's reservation is raided.
+    #[inline]
+    pub fn top_up_pool(&mut self, target: u64) {
+        self.cache.drain_to(&mut self.buddy, target);
+    }
+
+    /// Free frames in the buddy proper, below the magazines: what a table
+    /// block can be cut from without draining.
+    #[inline]
+    pub fn pool_frames(&self) -> u64 {
+        self.buddy.free_frames()
+    }
+
+    /// Permanently removes up to `count` free frames from circulation
+    /// (cached ones included) and returns how many went — the donor half of
+    /// cross-shard frame borrowing (see [`BuddyAllocator::retire_free`]).
+    pub fn retire(&mut self, count: u64) -> u64 {
+        self.drain();
+        let retired = self.buddy.retire_free(count);
+        self.retired += retired;
+        retired
+    }
+
+    /// Extends the managed range by `count` fresh free frames — the adoptee
+    /// half of frame borrowing.
+    pub fn grow(&mut self, count: u64) {
+        self.buddy.grow(count);
+    }
+
+    /// Frames free right now: the pool plus the magazines (cached frames
+    /// are instantly allocatable, so the gauge is the same with the cache
+    /// on or off).
+    pub fn free_frames(&self) -> u64 {
+        self.buddy.free_frames() + self.cache.len()
+    }
+
+    /// Frames under management, retired ones included.
+    pub fn total_frames(&self) -> u64 {
+        self.buddy.total_frames()
+    }
+
+    /// Frames out with a caller: neither free nor retired. The MTL's
+    /// frame-conservation law ([`crate::Mtl::audit`]) holds this against
+    /// the data, reserved and table frames it can account for.
+    pub fn held_frames(&self) -> u64 {
+        self.total_frames() - self.free_frames() - self.retired
+    }
+
+    /// External fragmentation of the pool at `order` (see
+    /// [`BuddyAllocator::fragmentation`]). Cached frames count as
+    /// allocated — they are scattered order-0 blocks by construction, so
+    /// including them would only restate the cache size.
+    pub fn fragmentation(&self, order: Order) -> f64 {
+        self.buddy.fragmentation(order)
+    }
+
+    /// The magazines' counters.
+    pub fn cache_stats(&self) -> FrameCacheStats {
+        self.cache.stats()
+    }
+
+    /// Clears the magazines' counters (simulation warm-up boundary).
+    pub fn reset_stats(&mut self) {
+        self.cache.reset_stats();
+    }
+
+    /// Returns every cached frame to the pool and reports how many moved.
+    /// Nothing in the MTL needs to call this — each request above finds its
+    /// own frames; it remains for tests that compare pool-level occupancy
+    /// with a cache-disabled run.
+    pub fn drain(&mut self) -> u64 {
+        self.cache.flush(&mut self.buddy)
     }
 }
 
@@ -312,6 +500,104 @@ mod tests {
         assert_eq!(c.drain_to(&mut buddy, free + 5), 5);
         assert_eq!(c.len(), 7);
         assert_eq!(buddy.free_frames(), free + 5);
+    }
+
+    /// `frames` frames behind 2 × 8-frame magazines refilled 4 at a time.
+    fn allocator(frames: u64) -> FrameAllocator {
+        FrameAllocator::new(&VbiConfig {
+            phys_frames: frames,
+            frame_cache_magazine: 8,
+            frame_cache_refill: 4,
+            ..VbiConfig::default()
+        })
+    }
+
+    /// The state the headroom rule makes rare and the verb-for-verb property
+    /// in `tests/frame_cache_equivalence.rs` therefore does not reach: an
+    /// empty pool under full magazines. A table block must find the cached
+    /// frames by itself.
+    #[test]
+    fn a_table_block_the_pool_cannot_fund_gets_the_magazines_back() {
+        let mut frames = allocator(64);
+        let data: Vec<Frame> = (0..16).map(|_| frames.allocate().unwrap()).collect();
+        for frame in data {
+            frames.free(frame);
+        }
+        assert_eq!(frames.cache.len(), 16, "both magazines full");
+        while frames.pool_frames() > 0 {
+            frames.allocate_table(0).unwrap();
+        }
+        assert_eq!(frames.cache_stats().flushes, 0, "the pool funded every block so far");
+        assert_eq!(frames.free_frames(), 16);
+
+        for left in (0..16).rev() {
+            assert!(frames.allocate_table(0).is_some());
+            assert_eq!(frames.free_frames(), left);
+        }
+        assert_eq!(frames.cache_stats().flushes, 1, "one return, on the first miss");
+        assert!(frames.cache.is_empty());
+        assert_eq!(frames.allocate_table(0), None, "now no frame exists anywhere");
+        assert_eq!(frames.held_frames(), 64);
+    }
+
+    #[test]
+    fn a_two_frame_table_is_funded_from_halves_in_the_magazines() {
+        let mut frames = allocator(64);
+        for n in 0..64 {
+            assert_eq!(frames.allocate_table(0), Some(Frame(n)));
+        }
+        // A pool of 16 singletons: at its cushion, so frees are cached, but
+        // with no two-frame block to give.
+        for n in (0..32).step_by(2) {
+            frames.free_table(Frame(n), 0);
+        }
+        frames.free(Frame(41));
+        frames.free(Frame(40));
+        assert_eq!((frames.pool_frames(), frames.cache.len()), (16, 2));
+        assert_eq!(frames.allocate_table(1), Some(Frame(40)), "the halves merged in the pool");
+        assert_eq!(frames.cache_stats().flushes, 1);
+        assert_eq!(frames.free_frames(), 16);
+    }
+
+    #[test]
+    fn a_run_drains_the_magazines_unless_it_is_one_frame() {
+        let mut frames = allocator(256);
+        let first = frames.allocate().unwrap();
+        frames.free(first);
+        let hits = frames.cache_stats().cache_hits;
+        assert_eq!(frames.allocate_run(0), Some(first), "a one-frame run is a data frame");
+        assert_eq!(frames.cache_stats().cache_hits, hits + 1);
+        assert!(!frames.cache.is_empty());
+        assert_eq!(frames.free_frames(), 255);
+
+        assert_eq!(frames.allocate_run(9), None, "larger than the machine");
+        assert_eq!(frames.cache_stats().flushes, 0, "refused before anything was disturbed");
+
+        let base = frames.allocate_run(5).expect("32 contiguous frames");
+        assert_eq!(base.0 % 32, 0);
+        assert_eq!(frames.cache_stats().flushes, 1);
+        assert!(frames.cache.is_empty());
+        assert_eq!(frames.free_frames(), 255 - 32);
+        // Every frame of the run is its own allocation.
+        frames.free(base.offset(3));
+        assert_eq!(frames.free_frames(), 255 - 31);
+    }
+
+    #[test]
+    fn retired_frames_are_neither_free_nor_held() {
+        let mut frames = allocator(64);
+        let held = frames.allocate().unwrap();
+        assert!(!frames.cache.is_empty());
+        assert_eq!(frames.retire(10), 10);
+        assert!(frames.cache.is_empty(), "cached frames are donated like any other");
+        assert_eq!(frames.cache_stats().flushes, 1);
+        assert_eq!((frames.free_frames(), frames.held_frames()), (53, 1));
+        assert_eq!(frames.retire(100), 53, "only what is free can go");
+        assert_eq!((frames.free_frames(), frames.held_frames()), (0, 1));
+        frames.grow(8);
+        assert_eq!((frames.total_frames(), frames.free_frames(), frames.held_frames()), (72, 8, 1));
+        frames.free(held);
+        assert_eq!((frames.free_frames(), frames.held_frames()), (9, 0));
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub use addr::{SizeClass, VbiAddress, Vbuid};
 pub use client::{ClientId, VirtualAddress};
 pub use config::{EvictionPolicy, VbiConfig};
 pub use error::{Result, VbiError};
-pub use frame_cache::{FrameCache, FrameCacheStats};
+pub use frame_cache::{FrameAllocator, FrameCache, FrameCacheStats};
 pub use mtl::Mtl;
 pub use ops::{Op, OpOutput, OpResult};
 pub use perm::{AccessKind, Rwx};

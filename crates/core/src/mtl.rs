@@ -24,10 +24,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Bound::{self, Excluded, Unbounded};
 
 use crate::addr::{SizeClass, VbiAddress, Vbuid};
-use crate::buddy::{BuddyAllocator, Order};
+use crate::buddy::Order;
 use crate::config::{EvictionPolicy, VbiConfig};
 use crate::error::{Result, VbiError};
-use crate::frame_cache::FrameCache;
+use crate::frame_cache::{FrameAllocator, POOL_HEADROOM};
 use crate::phys::{Frame, PhysAddr, PhysicalMemory, FRAME_BYTES};
 use crate::stats::MtlStats;
 use crate::swap::{BackingStore, PressureBackend};
@@ -93,37 +93,37 @@ enum SlotState {
     Stolen,
 }
 
+/// The contiguous run early reservation (§5.3) set aside for one VB: slot
+/// `i` is frame `base + i`, reserved for page `i`. A VB has one only while
+/// a run was actually reserved for it.
 #[derive(Debug, Clone)]
-struct Extent {
-    page_start: u64,
+struct Reservation {
     base: Frame,
-    len: u64,
     slots: Vec<SlotState>,
 }
 
-impl Extent {
-    fn covers(&self, page: u64) -> bool {
-        page >= self.page_start && page < self.page_start + self.len
-    }
-
-    fn frame_for(&self, page: u64) -> Frame {
-        self.base.offset(page - self.page_start)
-    }
-
+impl Reservation {
     fn slot_of_frame(&self, frame: Frame) -> Option<usize> {
-        if frame.0 >= self.base.0 && frame.0 < self.base.0 + self.len {
-            Some((frame.0 - self.base.0) as usize)
-        } else {
-            None
-        }
+        let slot = frame.0.checked_sub(self.base.0)? as usize;
+        (slot < self.slots.len()).then_some(slot)
     }
-}
 
-#[derive(Debug, Clone, Default)]
-struct Reservation {
-    extents: Vec<Extent>,
-    /// Whether the first-allocation reservation attempt already ran.
-    attempted: bool,
+    fn reserved_slots(&self) -> usize {
+        self.slots.iter().filter(|slot| **slot == SlotState::Reserved).count()
+    }
+
+    /// Marks one reserved slot — the last if `from_end`, else the first —
+    /// stolen and returns its frame.
+    fn take_reserved(&mut self, from_end: bool) -> Option<Frame> {
+        let reserved = |slot: &SlotState| *slot == SlotState::Reserved;
+        let slot = if from_end {
+            self.slots.iter().rposition(reserved)
+        } else {
+            self.slots.iter().position(reserved)
+        }?;
+        self.slots[slot] = SlotState::Stolen;
+        Some(self.base.offset(slot as u64))
+    }
 }
 
 /// Which resident pages one pass of the eviction sweep may evict.
@@ -137,15 +137,6 @@ struct SweepPass {
     /// Not this page.
     protect: Option<(Vbuid, u64)>,
 }
-
-/// Cushion of unreserved free frames the MTL keeps inside the buddy
-/// allocator proper. [`Mtl::translate`] replenishes the pool to this level
-/// so internal allocations (table nodes, COW copies) never dead-end while
-/// reservations hold free memory hostage, and the [`FrameCache`] honours
-/// the same level: it never refills below the cushion and routes frees
-/// straight to the buddy while the buddy is short, so table-frame
-/// allocations that bypass the cache cannot starve behind cached frames.
-const FREE_POOL_HEADROOM: u64 = 16;
 
 /// The Memory Translation Layer.
 ///
@@ -167,11 +158,8 @@ const FREE_POOL_HEADROOM: u64 = 16;
 #[derive(Debug)]
 pub struct Mtl {
     config: VbiConfig,
-    buddy: BuddyAllocator,
-    /// Magazine-style order-0 cache fronting `buddy` on the data-plane
-    /// allocate/free paths (see [`crate::frame_cache`]). Flushed before any
-    /// operation that must see exact buddy occupancy.
-    frame_cache: FrameCache,
+    /// Every free frame of this MTL, and the only way to one.
+    frames: FrameAllocator,
     mem: PhysicalMemory,
     vits: VbInfoTables,
     vit_cache: Tlb<Vbuid, TranslationKind>,
@@ -242,12 +230,7 @@ impl Mtl {
         );
         assert!(shard_index < shard_count, "shard index {shard_index} of {shard_count}");
         Self {
-            buddy: BuddyAllocator::new(config.phys_frames),
-            frame_cache: FrameCache::new(
-                config.frame_cache,
-                config.frame_cache_magazine,
-                config.frame_cache_refill,
-            ),
+            frames: FrameAllocator::new(&config),
             mem: PhysicalMemory::new(config.phys_frames),
             vits: VbInfoTables::new(),
             vit_cache: Tlb::fully_associative(config.vit_cache_entries),
@@ -306,7 +289,7 @@ impl Mtl {
     /// Accumulated statistics, with the frame cache's counters folded in.
     pub fn stats(&self) -> MtlStats {
         let mut stats = self.stats;
-        let cache = self.frame_cache.stats();
+        let cache = self.frames.cache_stats();
         stats.frame_cache_hits = cache.cache_hits;
         stats.frame_cache_misses = cache.cache_misses;
         stats.frame_cache_refills = cache.refills;
@@ -326,33 +309,30 @@ impl Mtl {
     /// Clears statistics (simulation warm-up boundary).
     pub fn reset_stats(&mut self) {
         self.stats = MtlStats::default();
-        self.frame_cache.reset_stats();
+        self.frames.reset_stats();
         self.vit_cache.reset_stats();
         self.page_tlb.reset_stats();
         self.direct_tlb.reset_stats();
     }
 
-    /// Frames currently free: the buddy's free pool plus the frames parked
-    /// in the magazine cache (cached frames are instantly allocatable, so
-    /// the gauge stays exact with the cache on or off).
+    /// Frames currently free, wherever the allocator keeps them (see
+    /// [`FrameAllocator::free_frames`]).
     pub fn free_frames(&self) -> u64 {
-        self.buddy.free_frames() + self.frame_cache.len()
+        self.frames.free_frames()
     }
 
-    /// Returns every cached frame to the buddy allocator and reports how
-    /// many moved — the hook benches and tests use to compare buddy-level
-    /// occupancy with a cache-disabled run.
+    /// Returns every cached frame to the allocator's pool and reports how
+    /// many moved — the hook tests use to compare pool-level occupancy with
+    /// a cache-disabled run. Nothing in the MTL depends on it.
     pub fn flush_frame_cache(&mut self) -> u64 {
-        self.frame_cache.flush(&mut self.buddy)
+        self.frames.drain()
     }
 
-    /// External fragmentation of the buddy allocator at `order`: the
-    /// fraction of its free memory not usable for a contiguous block of
-    /// `2^order` frames (see [`BuddyAllocator::fragmentation`]). Cached
-    /// frames count as allocated — they are scattered order-0 blocks by
-    /// construction, so including them would only restate the cache size.
+    /// External fragmentation of the free pool at `order`: the fraction of
+    /// it not usable for a contiguous block of `2^order` frames (see
+    /// [`FrameAllocator::fragmentation`]).
     pub fn fragmentation(&self, order: Order) -> f64 {
-        self.buddy.fragmentation(order)
+        self.frames.fragmentation(order)
     }
 
     /// Number of payload-bearing pages currently in the backing store
@@ -431,7 +411,7 @@ impl Mtl {
             for (_, slot) in structure.swapped_pages() {
                 self.swap.discard(slot);
             }
-            structure.release_tables(&mut self.buddy);
+            structure.release_tables(&mut self.frames);
         }
         self.teardown_reservation(vbuid);
         self.page_tlb.invalidate_matching(|(vb, _)| *vb == vbuid);
@@ -500,9 +480,6 @@ impl Mtl {
             return Err(VbiError::CloneSizeMismatch { source: src, destination: dst });
         }
         self.vits.entry(dst)?; // dst must be enabled
-                               // A clone allocates table frames in bulk straight from the buddy;
-                               // give it every free frame so it cannot starve behind the cache.
-        self.frame_cache.flush(&mut self.buddy);
 
         // Take the source structure, mark it COW, rebuild a structure for dst.
         let Some(mut src_structure) = self.vits.entry_mut(src)?.translation.take() else {
@@ -531,7 +508,7 @@ impl Mtl {
             for slot in dup_slots {
                 self.swap.discard(slot);
             }
-            dst_structure.release_tables(&mut self.buddy);
+            dst_structure.release_tables(&mut self.frames);
             self.vits.entry_mut(src)?.translation = Some(src_structure);
             return Err(e);
         }
@@ -563,13 +540,13 @@ impl Mtl {
             dst_structure.set_entry(
                 page,
                 PageEntry::Mapped { frame, cow: true },
-                &mut self.buddy,
+                &mut self.frames,
             )?;
         }
         for (page, slot) in src_structure.swapped_pages() {
             let dup = self.swap.duplicate(slot)?;
             dup_slots.push(dup);
-            dst_structure.set_entry(page, PageEntry::Swapped(dup), &mut self.buddy)?;
+            dst_structure.set_entry(page, PageEntry::Swapped(dup), &mut self.frames)?;
         }
         Ok(())
     }
@@ -641,8 +618,6 @@ impl Mtl {
             return Err(VbiError::PromoteNotLarger { source: src, destination: dst });
         }
         self.vits.entry(dst)?;
-        // Table frames for the larger VB come straight from the buddy.
-        self.frame_cache.flush(&mut self.buddy);
         let Some(src_structure) = self.vits.entry_mut(src)?.translation.take() else {
             self.stats.promotions += 1;
             return Ok(()); // nothing to move
@@ -664,22 +639,26 @@ impl Mtl {
         let mut copied = Vec::new();
         let filled = (|| -> Result<()> {
             for (page, frame, cow) in src_structure.mapped_pages() {
-                dst_structure.set_entry(page, PageEntry::Mapped { frame, cow }, &mut self.buddy)?;
+                dst_structure.set_entry(
+                    page,
+                    PageEntry::Mapped { frame, cow },
+                    &mut self.frames,
+                )?;
                 copied.push(page);
             }
             for (page, slot) in src_structure.swapped_pages() {
-                dst_structure.set_entry(page, PageEntry::Swapped(slot), &mut self.buddy)?;
+                dst_structure.set_entry(page, PageEntry::Swapped(slot), &mut self.frames)?;
                 copied.push(page);
             }
             Ok(())
         })();
         if let Err(e) = filled {
             if dst_was_fresh {
-                dst_structure.release_tables(&mut self.buddy);
+                dst_structure.release_tables(&mut self.frames);
             } else {
                 for page in copied {
                     // Unsetting a just-set entry walks existing nodes only.
-                    let _ = dst_structure.set_entry(page, PageEntry::Unmapped, &mut self.buddy);
+                    let _ = dst_structure.set_entry(page, PageEntry::Unmapped, &mut self.frames);
                 }
                 self.vits.entry_mut(dst)?.translation = Some(dst_structure);
             }
@@ -695,10 +674,10 @@ impl Mtl {
             self.ref_bits.remove(&(src, page));
             self.resident.insert((dst, page));
         }
-        src_structure.release_tables(&mut self.buddy);
-        // The source's reservation extents are orphaned: the frames now
-        // belong to the destination's pages and are freed through it.
-        self.orphan_reservation(src);
+        src_structure.release_tables(&mut self.frames);
+        // The source's reservation goes: its used frames now belong to the
+        // destination's pages and are freed through them.
+        self.teardown_reservation(src);
         self.vits.entry_mut(dst)?.translation = Some(dst_structure);
         self.page_tlb.invalidate_matching(|(vb, _)| *vb == src);
         self.direct_tlb.invalidate(&src);
@@ -722,7 +701,7 @@ impl Mtl {
         // Keep a small cushion of unreserved frames so internal allocations
         // (table nodes, COW copies) never dead-end while reservations hold
         // free memory hostage (priority 3 of §5.3 applied to the pool).
-        self.replenish_pool(FREE_POOL_HEADROOM);
+        self.replenish_pool();
         let vbuid = addr.vbuid();
         let page = addr.page_index();
         let line_offset = addr.offset() & (FRAME_BYTES - 1);
@@ -933,34 +912,22 @@ impl Mtl {
     pub fn swap_out_page(&mut self, vbuid: Vbuid, page: u64) -> Result<()> {
         // Direct structures swap per-page only after demotion to tables.
         if let Some(TranslationKind::Direct) = self.vits.entry(vbuid)?.translation_kind() {
-            let structure = self.vits.entry_mut(vbuid)?.translation.take().expect("kind known");
-            match self.demote_with_fallback(vbuid, &structure, None) {
-                Ok(demoted) => {
-                    self.vits.entry_mut(vbuid)?.translation = Some(demoted);
-                    self.direct_tlb.invalidate(&vbuid);
-                    self.vit_cache.invalidate(&vbuid);
+            match self.demote_in_place(vbuid, None) {
+                // Every frame in the machine holds data, so the demotion
+                // table cannot be funded the normal way. Eviction must
+                // still make progress ("need a frame to free a frame"):
+                // swap the victim out first and let its own frame pay for
+                // the table.
+                Err(VbiError::OutOfPhysicalMemory) => {
+                    return self.swap_out_direct_self_funded(vbuid, page);
                 }
-                Err(e) => {
-                    // A failed demotion (no frame anywhere for the table)
-                    // must put the structure back — dropping it would
-                    // silently unmap the whole VB.
-                    self.vits.entry_mut(vbuid)?.translation = Some(structure);
-                    if e == VbiError::OutOfPhysicalMemory {
-                        // Every frame in the machine holds data, so the
-                        // demotion table cannot be funded the normal way.
-                        // Eviction must still make progress ("need a frame
-                        // to free a frame"): swap the victim out first and
-                        // let its own frame pay for the table.
-                        return self.swap_out_direct_self_funded(vbuid, page);
-                    }
-                    return Err(e);
-                }
+                demoted => demoted?,
             }
         }
         let (frame, slot) = self.write_back(vbuid, page)?;
         let structure =
             self.vits.entry_mut(vbuid)?.translation.as_mut().expect("write_back saw the page");
-        structure.set_entry(page, PageEntry::Swapped(slot), &mut self.buddy)?;
+        structure.set_entry(page, PageEntry::Swapped(slot), &mut self.frames)?;
         self.release_data_frame(frame);
         self.note_swapped_out(vbuid, page);
         Ok(())
@@ -1032,17 +999,11 @@ impl Mtl {
         }
         let (frame, slot) = self.write_back(vbuid, page)?;
         // The released frame lands either as a Reserved slot (released to
-        // the pool by the demotion's funding loop) or directly in the buddy
-        // allocator — either way the one-frame table allocation succeeds.
+        // the pool by the demotion's funding loop) or with the allocator —
+        // either way the one-frame table allocation succeeds.
         self.release_data_frame(frame);
-        let structure =
-            self.vits.entry_mut(vbuid)?.translation.take().expect("write_back saw the page");
-        let demoted = self
-            .demote_with_fallback(vbuid, &structure, Some((page, slot)))
+        self.demote_in_place(vbuid, Some((page, slot)))
             .expect("the victim's own frame funds a one-frame demotion table");
-        self.vits.entry_mut(vbuid)?.translation = Some(demoted);
-        self.direct_tlb.invalidate(&vbuid);
-        self.vit_cache.invalidate(&vbuid);
         self.note_swapped_out(vbuid, page);
         Ok(())
     }
@@ -1076,25 +1037,22 @@ impl Mtl {
     /// (the adoptee must [`Mtl::adopt_frames`] exactly that many to conserve
     /// global capacity).
     ///
-    /// The ceded frames stay registered inside this shard's buddy allocator
-    /// as permanently allocated blocks; frame indices are shard-local, so
+    /// The ceded frames stay registered inside this shard's allocator as
+    /// permanently allocated blocks; frame indices are shard-local, so
     /// capacity moves as a *count*, never as addresses.
     pub fn donate_frames(&mut self, count: usize) -> u64 {
-        // Donors hand over *buddy* frames; parked cache frames must be
-        // visible to the transfer or capacity would be stranded.
-        self.frame_cache.flush(&mut self.buddy);
-        let free = self.buddy.free_frames() as usize;
+        let free = self.frames.free_frames() as usize;
         if free < count {
             self.reclaim_frames(count - free);
         }
-        self.buddy.retire_free(count as u64)
+        self.frames.retire(count as u64)
     }
 
     /// Adoptee half of cross-shard frame borrowing: grows this shard's
     /// physical capacity by `count` fresh frames (minted at the end of the
     /// shard-local frame range), all immediately free.
     pub fn adopt_frames(&mut self, count: u64) {
-        self.buddy.grow(count);
+        self.frames.grow(count);
         self.mem.grow(count);
     }
 
@@ -1136,11 +1094,6 @@ impl Mtl {
         if self.sweep_by_scan {
             return self.reference_sweep(count, exclude, protect);
         }
-        // Pressure must see every free frame before paying for evictions:
-        // return the magazines to the buddy first. (On the engine's
-        // allocation-failure path the cache is already empty — a failed
-        // cache allocate drains the magazines — so this is free there.)
-        self.frame_cache.flush(&mut self.buddy);
         let mut reclaimed = 0;
         // Two passes: first unpinned VBs, then (reluctantly) pinned ones.
         for pinned in [false, true] {
@@ -1233,14 +1186,20 @@ impl Mtl {
         mapped
     }
 
-    /// Checks the residency bookkeeping against the translation structures:
+    /// Checks the residency and frame bookkeeping against the translation
+    /// structures and the allocator:
     ///
     /// * the resident index holds exactly the mapped pages of the enabled
     ///   VBs;
     /// * `frame_shares` is the multiset of frames those pages map — every
     ///   entry counts the pages naming its frame, and no frame is counted
     ///   that no page maps;
-    /// * every reference bit belongs to a resident page.
+    /// * every reference bit belongs to a resident page;
+    /// * frame conservation: the frames the allocator has out (neither
+    ///   free nor retired by a donation) are as many as the data frames in
+    ///   `frame_shares`, the reserved-but-unused slots of every reservation
+    ///   and the table frames of every enabled VB's translation structure
+    ///   together.
     ///
     /// Costs a full scan of every translation structure; meant for tests
     /// and debug builds (the eviction sweep asserts it on entry there).
@@ -1282,6 +1241,21 @@ impl Mtl {
         if let Some(stray) = self.ref_bits.iter().find(|key| !self.resident.contains(key)) {
             return Err(format!("reference bit on non-resident page {stray:?}"));
         }
+        let data = self.frame_shares.len();
+        let reserved: usize = self.reservations.values().map(Reservation::reserved_slots).sum();
+        let table: usize = self
+            .vits
+            .enabled_vbs()
+            .filter_map(|vb| self.vits.entry(vb).ok()?.translation.as_ref())
+            .map(|structure| structure.table_frames().len())
+            .sum();
+        let held = self.frames.held_frames();
+        if held != (data + reserved + table) as u64 {
+            return Err(format!(
+                "frame conservation: the allocator has {held} frames out, the MTL accounts for \
+                 {data} data + {reserved} reserved and unused + {table} table",
+            ));
+        }
         Ok(())
     }
 
@@ -1299,8 +1273,6 @@ impl Mtl {
         pages: impl IntoIterator<Item = (u64, Box<[u8; FRAME_BYTES as usize]>)>,
     ) -> Result<()> {
         self.vits.entry(vbuid)?;
-        // Binding allocates table frames straight from the buddy.
-        self.frame_cache.flush(&mut self.buddy);
         let mut structure = match self.vits.entry_mut(vbuid)?.translation.take() {
             Some(s) => s,
             None => self.table_structure_for(vbuid.size_class())?,
@@ -1313,7 +1285,7 @@ impl Mtl {
                 let slot = self.swap.try_store(data).map_err(|_| VbiError::BackingStoreFull {
                     capacity_pages: self.swap.capacity_pages().unwrap_or(0),
                 })?;
-                structure.set_entry(page, PageEntry::Swapped(slot), &mut self.buddy)?;
+                structure.set_entry(page, PageEntry::Swapped(slot), &mut self.frames)?;
             }
             Ok(())
         })();
@@ -1328,10 +1300,10 @@ impl Mtl {
     fn table_structure_for(&mut self, size_class: SizeClass) -> Result<TranslationStructure> {
         match TranslationKind::static_policy(size_class) {
             TranslationKind::Direct | TranslationKind::SingleLevel => {
-                TranslationStructure::single_level(size_class, &mut self.buddy)
+                TranslationStructure::single_level(size_class, &mut self.frames)
             }
             TranslationKind::MultiLevel { .. } => {
-                TranslationStructure::multi_level(size_class, &mut self.buddy)
+                TranslationStructure::multi_level(size_class, &mut self.frames)
             }
         }
     }
@@ -1353,15 +1325,16 @@ impl Mtl {
             if replace.is_some_and(|(victim, _)| victim == page) {
                 continue;
             }
-            if let Err(e) = table.set_entry(page, PageEntry::Mapped { frame, cow }, &mut self.buddy)
+            if let Err(e) =
+                table.set_entry(page, PageEntry::Mapped { frame, cow }, &mut self.frames)
             {
-                table.release_tables(&mut self.buddy);
+                table.release_tables(&mut self.frames);
                 return Err(e);
             }
         }
         for (page, slot) in structure.swapped_pages().into_iter().chain(replace) {
-            if let Err(e) = table.set_entry(page, PageEntry::Swapped(slot), &mut self.buddy) {
-                table.release_tables(&mut self.buddy);
+            if let Err(e) = table.set_entry(page, PageEntry::Swapped(slot), &mut self.frames) {
+                table.release_tables(&mut self.frames);
                 return Err(e);
             }
         }
@@ -1376,41 +1349,15 @@ impl Mtl {
             return Ok(());
         }
         let size_class = vbuid.size_class();
-        let pages = size_class.pages();
         let structure = if self.config.early_reservation {
-            let order = pages.trailing_zeros() as Order;
-            let reservation = self.reservations.entry(vbuid).or_default();
-            reservation.attempted = true;
-            if pages <= self.buddy.total_frames() {
-                // A one-frame reservation is an ordinary order-0 allocation:
-                // serve it from the magazine cache (this is the hot path of
-                // 4 KiB VB request/release churn). Larger reservations need
-                // contiguity the cache's scattered frames can only hurt, so
-                // flush them back to the buddy first.
-                let grabbed = if order == 0 {
-                    self.frame_cache.allocate(&mut self.buddy, FREE_POOL_HEADROOM)
-                } else {
-                    self.frame_cache.flush(&mut self.buddy);
-                    self.buddy.allocate_split(order)
-                };
-                if let Some(base) = grabbed {
-                    // Full contiguous reservation: direct mapping.
-                    let extent = Extent {
-                        page_start: 0,
-                        base,
-                        len: pages,
-                        slots: vec![SlotState::Reserved; pages as usize],
-                    };
-                    for i in 0..pages {
-                        self.extent_owner.insert(base.0 + i, vbuid);
-                    }
-                    self.reservations.get_mut(&vbuid).expect("just inserted").extents.push(extent);
-                    let mut s = TranslationStructure::direct(size_class);
-                    s.set_direct_base(base);
-                    self.stats.reservations_full += 1;
-                    self.vits.entry_mut(vbuid)?.translation = Some(s);
-                    return Ok(());
-                }
+            // A one-frame run is an ordinary data frame (the hot path of
+            // 4 KiB VB request/release churn); a longer one needs
+            // contiguity, which the allocator clears the way for itself.
+            let order = size_class.pages().trailing_zeros() as Order;
+            if let Some(base) = self.frames.allocate_run(order) {
+                // Full contiguous reservation: direct mapping.
+                self.stats.reservations_full += 1;
+                return self.reserve_direct(vbuid, base);
             }
             self.stats.reservations_partial += 1;
             self.table_structure_for(size_class)?
@@ -1422,18 +1369,7 @@ impl Mtl {
                     // `allocate_page_frame` marks it used, keeping the
                     // accounting uniform with early reservation.
                     let frame = self.allocate_raw_frame(vbuid)?;
-                    let mut s = TranslationStructure::direct(size_class);
-                    s.set_direct_base(frame);
-                    let extent = Extent {
-                        page_start: 0,
-                        base: frame,
-                        len: 1,
-                        slots: vec![SlotState::Reserved],
-                    };
-                    self.extent_owner.insert(frame.0, vbuid);
-                    self.reservations.entry(vbuid).or_default().extents.push(extent);
-                    self.vits.entry_mut(vbuid)?.translation = Some(s);
-                    return Ok(());
+                    return self.reserve_direct(vbuid, frame);
                 }
                 _ => self.table_structure_for(size_class)?,
             }
@@ -1442,38 +1378,49 @@ impl Mtl {
         Ok(())
     }
 
+    /// Records the run at `base` as `vbuid`'s reservation, one slot per
+    /// page of the VB, and direct-maps the VB onto it.
+    fn reserve_direct(&mut self, vbuid: Vbuid, base: Frame) -> Result<()> {
+        let size_class = vbuid.size_class();
+        let pages = size_class.pages();
+        for i in 0..pages {
+            self.extent_owner.insert(base.0 + i, vbuid);
+        }
+        let slots = vec![SlotState::Reserved; pages as usize];
+        self.reservations.insert(vbuid, Reservation { base, slots });
+        let mut structure = TranslationStructure::direct(size_class);
+        structure.set_direct_base(base);
+        self.vits.entry_mut(vbuid)?.translation = Some(structure);
+        Ok(())
+    }
+
     /// Allocates one frame honouring the three-level priority of §5.3:
     /// (1) frames reserved for this VB, (2) unreserved free frames,
     /// (3) frames reserved for other VBs (stealing).
     fn allocate_page_frame(&mut self, vbuid: Vbuid, page: u64) -> Result<Frame> {
-        // Priority 1: the VB's own reservation.
-        if let Some(reservation) = self.reservations.get_mut(&vbuid) {
-            for extent in &mut reservation.extents {
-                if extent.covers(page) {
-                    let slot = (page - extent.page_start) as usize;
-                    if extent.slots[slot] == SlotState::Reserved {
-                        extent.slots[slot] = SlotState::Used;
-                        let frame = extent.frame_for(page);
-                        self.frame_shares.insert(frame.0, 1);
-                        self.stats.pages_allocated += 1;
-                        return Ok(frame);
-                    }
-                }
+        // Priority 1: the slot the VB's own reservation holds for the page.
+        let own = self.reservations.get_mut(&vbuid).and_then(|reservation| {
+            let slot = reservation.slots.get_mut(page as usize)?;
+            if *slot != SlotState::Reserved {
+                return None;
             }
-        }
+            *slot = SlotState::Used;
+            Some(reservation.base.offset(page))
+        });
         // Priorities 2 and 3.
-        let frame = self.allocate_raw_frame(vbuid)?;
+        let frame = match own {
+            Some(frame) => frame,
+            None => self.allocate_raw_frame(vbuid)?,
+        };
         self.frame_shares.insert(frame.0, 1);
         self.stats.pages_allocated += 1;
         Ok(frame)
     }
 
     /// Priorities 2 (unreserved free frame) and 3 (steal from another VB's
-    /// reservation), with a final attempt to reclaim by swapping. The
-    /// magazine cache fronts the free pool on both attempts, so the common
-    /// allocate/free churn cycle never touches the buddy order lists.
+    /// reservation), with a final attempt to reclaim by swapping.
     fn allocate_raw_frame(&mut self, vbuid: Vbuid) -> Result<Frame> {
-        if let Some(frame) = self.frame_cache.allocate(&mut self.buddy, FREE_POOL_HEADROOM) {
+        if let Some(frame) = self.frames.allocate() {
             return Ok(frame);
         }
         if let Some(frame) = self.steal_reserved_frame(vbuid) {
@@ -1481,7 +1428,7 @@ impl Mtl {
         }
         // Last resort: swap something out and retry once.
         if self.reclaim_pages(1, vbuid) > 0 {
-            if let Some(frame) = self.frame_cache.allocate(&mut self.buddy, FREE_POOL_HEADROOM) {
+            if let Some(frame) = self.frames.allocate() {
                 return Ok(frame);
             }
             if let Some(frame) = self.steal_reserved_frame(vbuid) {
@@ -1491,53 +1438,41 @@ impl Mtl {
         Err(VbiError::OutOfPhysicalMemory)
     }
 
+    /// Priority 3: takes the first reserved-but-unused frame of some other
+    /// VB's reservation. Which owner pays follows the map's iteration
+    /// order, which `HashMap` does not fix from run to run.
+    ///
+    /// Stealing a reserved-but-unallocated frame does NOT break the owner's
+    /// direct mapping: "a VB is considered directly mapped as long as all
+    /// its allocated memory is mapped to a single contiguous region"
+    /// (§5.3). The owner demotes lazily, only if it later needs the stolen
+    /// slot (see `map_allocated`).
     fn steal_reserved_frame(&mut self, thief: Vbuid) -> Option<Frame> {
-        let owners: Vec<Vbuid> =
-            self.reservations.keys().copied().filter(|vb| *vb != thief).collect();
-        for owner in owners {
-            let has_reserved = self
-                .reservations
-                .get(&owner)
-                .map(|r| r.extents.iter().any(|e| e.slots.contains(&SlotState::Reserved)))
-                .unwrap_or(false);
-            if !has_reserved {
-                continue;
-            }
-            // Stealing a reserved-but-unallocated frame does NOT break the
-            // owner's direct mapping: "a VB is considered directly mapped as
-            // long as all its allocated memory is mapped to a single
-            // contiguous region" (§5.3). The owner demotes lazily, only if
-            // it later needs the stolen slot (see `allocate_and_map`).
-            let reservation = self.reservations.get_mut(&owner).expect("listed");
-            for extent in &mut reservation.extents {
-                if let Some(slot) = extent.slots.iter().position(|s| *s == SlotState::Reserved) {
-                    extent.slots[slot] = SlotState::Stolen;
-                    let frame = extent.base.offset(slot as u64);
-                    self.extent_owner.remove(&frame.0);
-                    self.stats.frames_stolen += 1;
-                    return Some(frame);
-                }
-            }
-        }
-        None
+        let frame = self
+            .reservations
+            .iter_mut()
+            .filter(|(owner, _)| **owner != thief)
+            .find_map(|(_, reservation)| reservation.take_reserved(false))?;
+        self.extent_owner.remove(&frame.0);
+        self.stats.frames_stolen += 1;
+        Some(frame)
     }
 
-    /// Tops the unreserved free pool up to `target` frames by releasing
-    /// reserved-but-unused frames from any reservation. Owners stay
-    /// direct-mapped (their allocated memory is untouched); they demote
-    /// lazily if they ever need the released slots.
-    fn replenish_pool(&mut self, target: u64) {
-        // Cached frames are the cheapest source — return them before
-        // raiding anyone's reservation.
-        self.frame_cache.drain_to(&mut self.buddy, target);
-        while self.buddy.free_frames() < target {
+    /// Tops the allocator's free pool up to [`POOL_HEADROOM`] frames
+    /// (priority 3 of §5.3 applied to the pool). Cached frames are the
+    /// cheapest source; after them, reserved-but-unused frames of any
+    /// reservation. Owners stay direct-mapped (their allocated memory is
+    /// untouched); they demote lazily if they ever need the released slots.
+    fn replenish_pool(&mut self) {
+        self.frames.top_up_pool(POOL_HEADROOM);
+        while self.frames.pool_frames() < POOL_HEADROOM {
             if !self.release_one_reserved_frame() {
                 break;
             }
         }
     }
 
-    /// Releases one reserved frame from any reservation into the buddy pool.
+    /// Releases one reserved frame from any reservation into the free pool.
     ///
     /// Frames are taken from the *end* of the largest reservation so that
     /// (1) consecutive releases hand out physically adjacent frames — which
@@ -1545,53 +1480,37 @@ impl Mtl {
     /// them back — and (2) the owner's (front-allocated) pages stay clear of
     /// the stolen zone for as long as possible.
     fn release_one_reserved_frame(&mut self) -> bool {
-        let owner = self
+        let released = self
             .reservations
-            .iter()
-            .filter(|(_, r)| r.extents.iter().any(|e| e.slots.contains(&SlotState::Reserved)))
-            .max_by_key(|(vb, r)| (r.extents.iter().map(|e| e.len).sum::<u64>(), *vb))
-            .map(|(vb, _)| *vb);
-        let Some(owner) = owner else { return false };
-        let reservation = self.reservations.get_mut(&owner).expect("selected above");
-        for extent in reservation.extents.iter_mut().rev() {
-            if let Some(i) = extent.slots.iter().rposition(|s| *s == SlotState::Reserved) {
-                extent.slots[i] = SlotState::Stolen;
-                let frame = extent.base.offset(i as u64);
-                self.extent_owner.remove(&frame.0);
-                self.buddy.free(frame, 0);
-                self.stats.frames_stolen += 1;
-                return true;
-            }
-        }
-        false
+            .iter_mut()
+            .filter(|(_, r)| r.slots.contains(&SlotState::Reserved))
+            .max_by_key(|(vb, r)| (r.slots.len(), **vb))
+            .and_then(|(_, r)| r.take_reserved(true));
+        let Some(frame) = released else { return false };
+        self.extent_owner.remove(&frame.0);
+        self.frames.free_to_pool(frame);
+        self.stats.frames_stolen += 1;
+        true
     }
 
-    /// Returns up to `count` of an owner's reserved frames to the general
-    /// pool (marking their slots stolen), e.g. to fund the owner's own
-    /// demotion tables under memory pressure.
+    /// Returns up to `count` of an owner's reserved frames to the free pool
+    /// (marking their slots stolen), e.g. to fund the owner's own demotion
+    /// tables under memory pressure.
     fn release_reserved_to_pool(&mut self, owner: Vbuid, count: usize) -> usize {
         let Some(reservation) = self.reservations.get_mut(&owner) else { return 0 };
-        let mut freed = Vec::new();
-        for extent in &mut reservation.extents {
-            for (i, slot) in extent.slots.iter_mut().enumerate() {
-                if freed.len() >= count {
-                    break;
-                }
-                if *slot == SlotState::Reserved {
-                    *slot = SlotState::Stolen;
-                    freed.push(extent.base.offset(i as u64));
-                }
-            }
-        }
-        for frame in &freed {
+        let mut released = 0;
+        while released < count {
+            let Some(frame) = reservation.take_reserved(false) else { break };
             self.extent_owner.remove(&frame.0);
-            self.buddy.free(*frame, 0);
+            self.frames.free_to_pool(frame);
+            released += 1;
         }
-        freed.len()
+        released
     }
 
-    /// Demotes a direct structure to tables, funding the table frames from
-    /// the VB's own reserved frames when the general pool is empty.
+    /// Builds the table-based replacement for `vbuid`'s direct structure,
+    /// funding the table frames from the VB's own reserved frames when the
+    /// allocator cannot.
     fn demote_with_fallback(
         &mut self,
         vbuid: Vbuid,
@@ -1601,16 +1520,12 @@ impl Mtl {
         // A demotion of a densely mapped VB may need many table frames (one
         // leaf node per 512 mapped pages); keep funding the attempt from the
         // owner's — or anyone's — reserved frames until it fits or memory is
-        // truly exhausted.
+        // truly exhausted. (A failed attempt means the magazines are empty
+        // too: a table block looks there before it gives up.)
         for _ in 0..4096 {
             match self.demote_structure(vbuid.size_class(), structure, replace) {
                 Ok(table) => return Ok(table),
                 Err(_) => {
-                    // Cheapest funding first: frames parked in the magazine
-                    // cache, then the owner's (or anyone's) reservation.
-                    if self.frame_cache.flush(&mut self.buddy) > 0 {
-                        continue;
-                    }
                     if self.release_reserved_to_pool(vbuid, 64) > 0 {
                         continue;
                     }
@@ -1627,74 +1542,67 @@ impl Mtl {
         Err(VbiError::OutOfPhysicalMemory)
     }
 
+    /// Demotes `vbuid`'s direct structure to tables where it sits, in its
+    /// VIT entry (see [`Mtl::demote_structure`] for `replace`). On error the
+    /// VB keeps the structure it had — dropping it would silently unmap the
+    /// whole VB.
+    fn demote_in_place(&mut self, vbuid: Vbuid, replace: Option<(u64, SwapSlot)>) -> Result<()> {
+        let structure =
+            self.vits.entry_mut(vbuid)?.translation.take().expect("caller saw a direct structure");
+        let demoted = self.demote_with_fallback(vbuid, &structure, replace);
+        let entry = self.vits.entry_mut(vbuid)?;
+        match demoted {
+            Ok(table) => {
+                entry.translation = Some(table);
+                self.direct_tlb.invalidate(&vbuid);
+                self.vit_cache.invalidate(&vbuid);
+                Ok(())
+            }
+            Err(e) => {
+                entry.translation = Some(structure);
+                Err(e)
+            }
+        }
+    }
+
+    /// Maps the freshly allocated `frame` at `page` of `vbuid` and indexes
+    /// the page as resident; on error the frame is released again.
+    fn map_allocated(&mut self, vbuid: Vbuid, page: u64, frame: Frame) -> Result<()> {
+        let mapped = (|| {
+            // A direct structure can only map its own contiguous region; if
+            // the frame came from elsewhere (stolen slot or pressure),
+            // demote first.
+            let structure = self.vits.entry(vbuid)?.translation.as_ref().expect("caller ensured");
+            let contiguous = structure.direct_base().map(|base| base.offset(page));
+            if structure.kind() == TranslationKind::Direct && contiguous != Some(frame) {
+                self.demote_in_place(vbuid, None)?;
+            }
+            let structure = self.vits.entry_mut(vbuid)?.translation.as_mut().expect("still there");
+            structure.set_entry(page, PageEntry::Mapped { frame, cow: false }, &mut self.frames)
+        })();
+        match mapped {
+            Ok(()) => {
+                self.resident.insert((vbuid, page));
+            }
+            Err(_) => self.release_data_frame(frame),
+        }
+        mapped
+    }
+
     /// Allocates physical memory for `page` of `vbuid` and maps it.
     fn allocate_and_map(&mut self, vbuid: Vbuid, page: u64) -> Result<Frame> {
         self.ensure_structure(vbuid)?;
         let frame = self.allocate_page_frame(vbuid, page)?;
-        let mut structure = self.vits.entry_mut(vbuid)?.translation.take().expect("ensured above");
-        // A direct structure can only map its own contiguous region; if the
-        // frame came from elsewhere (stolen slot or pressure), demote first.
-        // On failure, restore the structure (dropping it would unmap the
-        // whole VB) and release the unused frame.
-        let expects = structure.direct_base().map(|b| b.offset(page));
-        if matches!(structure.kind(), TranslationKind::Direct) && expects != Some(frame) {
-            match self.demote_with_fallback(vbuid, &structure, None) {
-                Ok(demoted) => {
-                    structure = demoted;
-                    self.direct_tlb.invalidate(&vbuid);
-                    self.vit_cache.invalidate(&vbuid);
-                }
-                Err(e) => {
-                    self.vits.entry_mut(vbuid)?.translation = Some(structure);
-                    self.release_data_frame(frame);
-                    return Err(e);
-                }
-            }
-        }
-        let result =
-            structure.set_entry(page, PageEntry::Mapped { frame, cow: false }, &mut self.buddy);
-        self.vits.entry_mut(vbuid)?.translation = Some(structure);
-        if let Err(e) = result {
-            self.release_data_frame(frame);
-            return Err(e);
-        }
-        self.resident.insert((vbuid, page));
+        self.map_allocated(vbuid, page, frame)?;
         self.mem.zero_frame(frame);
         Ok(frame)
     }
 
     fn swap_in(&mut self, vbuid: Vbuid, page: u64, slot: SwapSlot) -> Result<Frame> {
         let frame = self.allocate_page_frame(vbuid, page)?;
-        let mut structure = self
-            .vits
-            .entry_mut(vbuid)?
-            .translation
-            .take()
-            .expect("swapped page implies a structure");
-        if matches!(structure.kind(), TranslationKind::Direct) {
-            match self.demote_with_fallback(vbuid, &structure, None) {
-                Ok(demoted) => {
-                    structure = demoted;
-                    self.direct_tlb.invalidate(&vbuid);
-                    self.vit_cache.invalidate(&vbuid);
-                }
-                Err(e) => {
-                    self.vits.entry_mut(vbuid)?.translation = Some(structure);
-                    self.release_data_frame(frame);
-                    return Err(e);
-                }
-            }
-        }
-        let result =
-            structure.set_entry(page, PageEntry::Mapped { frame, cow: false }, &mut self.buddy);
-        self.vits.entry_mut(vbuid)?.translation = Some(structure);
-        if let Err(e) = result {
-            self.release_data_frame(frame);
-            return Err(e);
-        }
-        self.resident.insert((vbuid, page));
         // Only consume the swap slot once the mapping is committed: a
-        // failure above leaves the entry Swapped and the data retrievable.
+        // failure here leaves the entry Swapped and the data retrievable.
+        self.map_allocated(vbuid, page, frame)?;
         if let Some(data) = self.swap.load(slot) {
             self.mem.put_frame(frame, data);
         } else {
@@ -1744,7 +1652,7 @@ impl Mtl {
             structure.set_entry(
                 page,
                 PageEntry::Mapped { frame: private, cow: false },
-                &mut self.buddy,
+                &mut self.frames,
             )?;
             Ok(private)
         })();
@@ -1754,7 +1662,7 @@ impl Mtl {
 
     /// Drops one reference to a data frame, freeing it when unshared. Frames
     /// inside a live reservation return to `Reserved`; others go back to the
-    /// buddy allocator.
+    /// allocator.
     fn release_data_frame(&mut self, frame: Frame) {
         let shares = self.frame_shares.get_mut(&frame.0).expect("live data frame is tracked");
         *shares -= 1;
@@ -1765,58 +1673,37 @@ impl Mtl {
         self.mem.zero_frame(frame);
         if let Some(owner) = self.extent_owner.get(&frame.0).copied() {
             if let Some(reservation) = self.reservations.get_mut(&owner) {
-                for extent in &mut reservation.extents {
-                    if let Some(slot) = extent.slot_of_frame(frame) {
-                        extent.slots[slot] = SlotState::Reserved;
-                        return;
-                    }
+                if let Some(slot) = reservation.slot_of_frame(frame) {
+                    reservation.slots[slot] = SlotState::Reserved;
+                    return;
                 }
             }
             self.extent_owner.remove(&frame.0);
         }
-        self.frame_cache.free(&mut self.buddy, frame, FREE_POOL_HEADROOM);
+        self.frames.free(frame);
     }
 
-    /// Frees all still-reserved frames of a VB's reservation and orphans the
-    /// rest (used frames are freed through their pages; stolen frames through
-    /// their thieves).
+    /// Dissolves a VB's reservation: still-reserved frames are freed, used
+    /// ones stop belonging to it (they are freed through the pages that map
+    /// them — the VB's own, or after a promotion the destination's), and
+    /// stolen ones are not its to touch: a stolen slot's owner record went
+    /// when it was taken, and the frame may since have been reserved by
+    /// another VB.
     fn teardown_reservation(&mut self, vbuid: Vbuid) {
         let Some(reservation) = self.reservations.remove(&vbuid) else { return };
-        for extent in reservation.extents {
-            for (i, slot) in extent.slots.iter().enumerate() {
-                let frame = extent.base.offset(i as u64);
-                match slot {
-                    SlotState::Reserved => {
-                        self.extent_owner.remove(&frame.0);
-                        // Through the cache: the request/release churn of a
-                        // one-frame direct VB frees its frame right here.
-                        self.frame_cache.free(&mut self.buddy, frame, FREE_POOL_HEADROOM);
-                    }
-                    SlotState::Used | SlotState::Stolen => {
-                        // Orphan: freed via frame_shares when its VB lets go.
-                        self.extent_owner.remove(&frame.0);
-                    }
+        for (i, slot) in reservation.slots.iter().enumerate() {
+            let frame = reservation.base.offset(i as u64);
+            match slot {
+                SlotState::Reserved => {
+                    self.extent_owner.remove(&frame.0);
+                    // Through the magazines: the request/release churn of a
+                    // one-frame direct VB frees its frame right here.
+                    self.frames.free(frame);
                 }
-            }
-        }
-    }
-
-    /// Orphans a reservation without freeing anything (promotion transferred
-    /// the frames to another VB).
-    fn orphan_reservation(&mut self, vbuid: Vbuid) {
-        let Some(reservation) = self.reservations.remove(&vbuid) else { return };
-        for extent in reservation.extents {
-            for (i, slot) in extent.slots.iter().enumerate() {
-                let frame = extent.base.offset(i as u64);
-                match slot {
-                    SlotState::Reserved => {
-                        self.extent_owner.remove(&frame.0);
-                        self.frame_cache.free(&mut self.buddy, frame, FREE_POOL_HEADROOM);
-                    }
-                    SlotState::Used | SlotState::Stolen => {
-                        self.extent_owner.remove(&frame.0);
-                    }
+                SlotState::Used => {
+                    self.extent_owner.remove(&frame.0);
                 }
+                SlotState::Stolen => {}
             }
         }
     }
@@ -1874,6 +1761,9 @@ mod tests {
         let addr = vb.address(0).unwrap();
         adoptee.write_u64(addr, 0xabc).unwrap();
         assert_eq!(adoptee.read_u64(addr).unwrap(), 0xabc);
+        // Retired and adopted frames are in the conservation law.
+        assert_eq!(donor.audit(), Ok(()));
+        assert_eq!(adoptee.audit(), Ok(()));
     }
 
     #[test]
@@ -1891,6 +1781,7 @@ mod tests {
         assert!(donor.stats().evictions >= 4);
         // Evicted payloads went to the backing store, not into the void.
         assert!(donor.swap_occupancy() >= 3);
+        assert_eq!(donor.audit(), Ok(()));
     }
 
     #[test]
@@ -1953,6 +1844,8 @@ mod tests {
             Some(TranslationKind::MultiLevel { depth: 2 })
         ));
         assert_eq!(m.stats().reservations_partial, 1);
+        // Only a run that was actually reserved leaves a reservation.
+        assert!(m.reservations.is_empty());
     }
 
     #[test]
@@ -2161,6 +2054,36 @@ mod tests {
         for p in 1..page {
             assert_eq!(m.read_u64(owner.address(p * 4096).unwrap()).unwrap(), p);
         }
+    }
+
+    #[test]
+    fn tearing_down_a_raided_reservation_leaves_its_stolen_frames_alone() {
+        let mut m = Mtl::new(VbiConfig { phys_frames: 64, ..VbiConfig::vbi_full() });
+        // Two 32-page runs reserve the whole machine; the next translation
+        // finds the free pool empty and raids one of them for its cushion.
+        let a = enabled_vb(&mut m, SizeClass::Kib128);
+        let b = enabled_vb(&mut m, SizeClass::Kib128);
+        m.write_u64(a.address(0).unwrap(), 1).unwrap();
+        m.write_u64(b.address(0).unwrap(), 2).unwrap();
+        m.write_u64(a.address(4096).unwrap(), 3).unwrap();
+        assert!(m.stats().frames_stolen >= 16);
+        let raided = [a, b]
+            .into_iter()
+            .find(|vb| m.reservations[vb].slots.contains(&SlotState::Stolen))
+            .expect("one run was raided");
+        // A 4 KiB VB reserves one of the released frames.
+        let small = enabled_vb(&mut m, SizeClass::Kib4);
+        m.write_u64(small.address(0).unwrap(), 4).unwrap();
+        let frame = m.reservations[&small].base;
+        let slot = m.reservations[&raided].slot_of_frame(frame).expect("a released frame");
+        assert_eq!(m.reservations[&raided].slots[slot], SlotState::Stolen);
+        assert_eq!(m.extent_owner.get(&frame.0), Some(&small));
+        // The frame is `small`'s now, and the raided VB's teardown must not
+        // strip that: `small`'s freed page would go to the pool instead of
+        // back to its reservation, and its next touch would cost a demotion.
+        m.disable_vb(raided).unwrap();
+        assert_eq!(m.extent_owner.get(&frame.0), Some(&small));
+        assert_eq!(m.audit(), Ok(()));
     }
 
     #[test]
@@ -2435,12 +2358,7 @@ mod tests {
         // reservation — with a second VB's pages, stopping short of the
         // first eviction.
         let filler = enabled_vb(&mut m, SizeClass::Mib4);
-        let reserved_left = |m: &Mtl| {
-            m.reservations[&direct]
-                .extents
-                .iter()
-                .any(|extent| extent.slots.contains(&SlotState::Reserved))
-        };
+        let reserved_left = |m: &Mtl| m.reservations[&direct].reserved_slots() > 0;
         let mut page = 0u64;
         while m.free_frames() > 0 || reserved_left(&m) {
             m.write_u64(filler.address(page << 12).unwrap(), page).unwrap();
@@ -2478,7 +2396,6 @@ mod tests {
             exclude: Option<Vbuid>,
             protect: Option<(Vbuid, u64)>,
         ) -> usize {
-            self.frame_cache.flush(&mut self.buddy);
             let mut reclaimed = 0;
             for allow_pinned in [false, true] {
                 if reclaimed >= count {

@@ -65,8 +65,9 @@ pub struct MtlStats {
     pub frame_cache_misses: u64,
     /// Batch refills the frame cache pulled from the buddy.
     pub frame_cache_refills: u64,
-    /// Times the frame cache was flushed back into the buddy by policy
-    /// (pressure, donation, control-plane table allocation).
+    /// Times cached frames were returned to the buddy by policy (an
+    /// order > 0 reservation, a table block the buddy alone could not
+    /// fund, a donation, a free-pool top-up).
     pub frame_cache_flushes: u64,
     /// Full magazines the frame cache returned to the buddy in bulk.
     pub frame_cache_batch_frees: u64,

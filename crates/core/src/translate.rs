@@ -19,8 +19,9 @@
 //! copy-on-write after `clone_vb`), or *swapped* to a backing-store slot.
 
 use crate::addr::SizeClass;
-use crate::buddy::{BuddyAllocator, Order};
+use crate::buddy::Order;
 use crate::error::{Result, VbiError};
+use crate::frame_cache::FrameAllocator;
 use crate::phys::{Frame, PhysAddr, FRAME_SHIFT};
 
 /// Fanout bits per multi-level table node (512 eight-byte entries per 4 KiB
@@ -205,12 +206,12 @@ impl TranslationStructure {
     ///
     /// Returns [`VbiError::OutOfPhysicalMemory`] if the table cannot be
     /// allocated.
-    pub fn single_level(size_class: SizeClass, buddy: &mut BuddyAllocator) -> Result<Self> {
+    pub fn single_level(size_class: SizeClass, frames: &mut FrameAllocator) -> Result<Self> {
         let pages = size_class.pages();
         let table_bytes = pages * 8;
         let table_frame_count = table_bytes.div_ceil(1 << FRAME_SHIFT).max(1);
         let order = table_frame_count.next_power_of_two().trailing_zeros() as Order;
-        let base = buddy.allocate(order).ok_or(VbiError::OutOfPhysicalMemory)?;
+        let base = frames.allocate_table(order).ok_or(VbiError::OutOfPhysicalMemory)?;
         let table_frames = (0..table_frame_count).map(|i| base.offset(i)).collect();
         Ok(TranslationStructure::SingleLevel {
             table_frames,
@@ -225,29 +226,16 @@ impl TranslationStructure {
     ///
     /// Returns [`VbiError::OutOfPhysicalMemory`] if the root cannot be
     /// allocated.
-    pub fn multi_level(size_class: SizeClass, buddy: &mut BuddyAllocator) -> Result<Self> {
+    pub fn multi_level(size_class: SizeClass, frames: &mut FrameAllocator) -> Result<Self> {
         let depth = multi_level_depth(size_class);
         let pages = size_class.pages();
-        let root_frame = buddy.allocate(0).ok_or(VbiError::OutOfPhysicalMemory)?;
+        let root_frame = frames.allocate_table(0).ok_or(VbiError::OutOfPhysicalMemory)?;
         let fanout = Self::fanout_at(depth, 0, pages);
         Ok(TranslationStructure::MultiLevel {
             depth,
             pages,
             root: Box::new(Node::new(root_frame, fanout, depth == 1)),
         })
-    }
-
-    /// Creates the structure chosen by the static policy for `size_class`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VbiError::OutOfPhysicalMemory`] if table allocation fails.
-    pub fn for_size_class(size_class: SizeClass, buddy: &mut BuddyAllocator) -> Result<Self> {
-        match TranslationKind::static_policy(size_class) {
-            TranslationKind::Direct => Ok(Self::direct(size_class)),
-            TranslationKind::SingleLevel => Self::single_level(size_class, buddy),
-            TranslationKind::MultiLevel { .. } => Self::multi_level(size_class, buddy),
-        }
     }
 
     fn fanout_at(depth: u32, level: u32, pages: u64) -> usize {
@@ -387,7 +375,7 @@ impl TranslationStructure {
         &mut self,
         page: u64,
         entry: PageEntry,
-        buddy: &mut BuddyAllocator,
+        frames: &mut FrameAllocator,
     ) -> Result<()> {
         assert!(page < self.pages(), "set_entry of page {page} beyond VB");
         match self {
@@ -423,7 +411,8 @@ impl TranslationStructure {
                         return Ok(());
                     }
                     if node.children[index].is_none() {
-                        let frame = buddy.allocate(0).ok_or(VbiError::OutOfPhysicalMemory)?;
+                        let frame =
+                            frames.allocate_table(0).ok_or(VbiError::OutOfPhysicalMemory)?;
                         let child_is_leaf = level + 2 == depth;
                         node.children[index] =
                             Some(Box::new(Node::new(frame, 1 << LEVEL_BITS, child_is_leaf)));
@@ -516,16 +505,16 @@ impl TranslationStructure {
     /// Releases the structure's table frames back to the allocator. Data
     /// frames are the MTL's responsibility (it must unmap or free them based
     /// on COW sharing).
-    pub fn release_tables(self, buddy: &mut BuddyAllocator) {
+    pub fn release_tables(self, frames: &mut FrameAllocator) {
         match self {
             TranslationStructure::Direct { .. } => {}
             TranslationStructure::SingleLevel { table_frames, .. } => {
                 let order =
                     (table_frames.len() as u64).next_power_of_two().trailing_zeros() as Order;
-                buddy.free(table_frames[0], order);
+                frames.free_table(table_frames[0], order);
             }
             TranslationStructure::MultiLevel { root, .. } => {
-                release_nodes_rec(*root, buddy);
+                release_nodes_rec(*root, frames);
             }
         }
     }
@@ -612,19 +601,21 @@ fn collect_frames_rec(node: &Node, out: &mut Vec<Frame>) {
     }
 }
 
-fn release_nodes_rec(node: Node, buddy: &mut BuddyAllocator) {
-    buddy.free(node.frame, 0);
+fn release_nodes_rec(node: Node, frames: &mut FrameAllocator) {
+    frames.free_table(node.frame, 0);
     for child in node.children.into_iter().flatten() {
-        release_nodes_rec(*child, buddy);
+        release_nodes_rec(*child, frames);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VbiConfig;
 
-    fn buddy() -> BuddyAllocator {
-        BuddyAllocator::new(1 << 16) // 256 MiB of frames
+    fn frames() -> FrameAllocator {
+        // 256 MiB of frames.
+        FrameAllocator::new(&VbiConfig { phys_frames: 1 << 16, ..VbiConfig::default() })
     }
 
     #[test]
@@ -660,7 +651,7 @@ mod tests {
 
     #[test]
     fn direct_structure_maps_contiguously() {
-        let mut b = buddy();
+        let mut b = frames();
         let mut ts = TranslationStructure::direct(SizeClass::Kib4);
         assert_eq!(ts.walk(0).outcome, WalkOutcome::Unmapped);
         ts.set_direct_base(Frame(100));
@@ -675,7 +666,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "only map contiguously")]
     fn direct_structure_rejects_non_contiguous_mapping() {
-        let mut b = buddy();
+        let mut b = frames();
         let mut ts = TranslationStructure::direct(SizeClass::Kib128);
         ts.set_direct_base(Frame(100));
         ts.set_entry(3, PageEntry::Mapped { frame: Frame(999), cow: false }, &mut b).unwrap();
@@ -683,7 +674,7 @@ mod tests {
 
     #[test]
     fn single_level_walks_cost_one_access() {
-        let mut b = buddy();
+        let mut b = frames();
         let mut ts = TranslationStructure::single_level(SizeClass::Mib4, &mut b).unwrap();
         assert_eq!(ts.pages(), 1024);
         ts.set_entry(1023, PageEntry::Mapped { frame: Frame(7), cow: false }, &mut b).unwrap();
@@ -699,7 +690,7 @@ mod tests {
 
     #[test]
     fn multi_level_walks_report_each_level() {
-        let mut b = buddy();
+        let mut b = frames();
         // 4 GiB VB: 2^20 pages, depth 3.
         let mut ts = TranslationStructure::multi_level(SizeClass::Gib4, &mut b).unwrap();
         assert_eq!(ts.kind(), TranslationKind::MultiLevel { depth: 3 });
@@ -715,7 +706,7 @@ mod tests {
 
     #[test]
     fn multi_level_allocates_interior_nodes_lazily() {
-        let mut b = buddy();
+        let mut b = frames();
         let free_before = b.free_frames();
         let mut ts = TranslationStructure::multi_level(SizeClass::Gib4, &mut b).unwrap();
         let after_root = b.free_frames();
@@ -728,7 +719,7 @@ mod tests {
 
     #[test]
     fn swapped_entries_roundtrip() {
-        let mut b = buddy();
+        let mut b = frames();
         let mut ts = TranslationStructure::single_level(SizeClass::Kib128, &mut b).unwrap();
         ts.set_entry(5, PageEntry::Swapped(SwapSlot(99)), &mut b).unwrap();
         assert_eq!(ts.walk(5).outcome, WalkOutcome::Swapped(SwapSlot(99)));
@@ -737,7 +728,7 @@ mod tests {
 
     #[test]
     fn mark_all_cow_covers_every_mapped_page() {
-        let mut b = buddy();
+        let mut b = frames();
         let mut ts = TranslationStructure::multi_level(SizeClass::Mib128, &mut b).unwrap();
         for page in [0u64, 511, 512, 32767] {
             ts.set_entry(page, PageEntry::Mapped { frame: Frame(page + 1), cow: false }, &mut b)
@@ -751,7 +742,7 @@ mod tests {
 
     #[test]
     fn mapped_pages_reports_correct_page_numbers() {
-        let mut b = buddy();
+        let mut b = frames();
         let mut ts = TranslationStructure::multi_level(SizeClass::Gib4, &mut b).unwrap();
         let pages = [0u64, 1, 511, 512, 262144, 1048575];
         for &p in &pages {
@@ -764,7 +755,7 @@ mod tests {
 
     #[test]
     fn release_tables_returns_all_frames() {
-        let mut b = buddy();
+        let mut b = frames();
         let before = b.free_frames();
         let mut ts = TranslationStructure::multi_level(SizeClass::Gib4, &mut b).unwrap();
         for p in 0..2048 {
@@ -781,7 +772,7 @@ mod tests {
 
     #[test]
     fn walk_accesses_match_kind() {
-        let mut b = buddy();
+        let mut b = frames();
         for sc in [SizeClass::Mib128, SizeClass::Gib4, SizeClass::Tib4] {
             let mut ts = TranslationStructure::multi_level(sc, &mut b).unwrap();
             ts.set_entry(0, PageEntry::Mapped { frame: Frame(1), cow: false }, &mut b).unwrap();

@@ -10,7 +10,13 @@
 //! early reservation) over 128 KiB VBs against a deliberately small
 //! machine, so the sequences continuously cross the
 //! allocate → evict → reclaim boundary where a stale gauge or a stranded
-//! cached frame would change an outcome.
+//! cached frame would change an outcome; `clone_vb` rides along so a bulk
+//! table build is compared under the same pressure.
+//!
+//! A second property holds the allocator surface itself to the same
+//! standard, verb for verb: two [`FrameAllocator`]s, magazines on and off,
+//! grant and refuse alike and report the same `free_frames()` after every
+//! request the MTL can make of them.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -18,7 +24,8 @@ use rand::{Rng, SeedableRng};
 
 use vbi_core::client::VirtualAddress;
 use vbi_core::ops::{Op, OpOutput, VbHandle};
-use vbi_core::{MtlStats, Rwx, System, VbProperties, VbiConfig};
+use vbi_core::phys::Frame;
+use vbi_core::{FrameAllocator, MtlStats, Rwx, System, VbProperties, VbiConfig};
 
 /// Pages of one 128 KiB VB.
 const VB_PAGES: u64 = 32;
@@ -55,7 +62,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut live: Vec<VbHandle> = Vec::new();
         for step in 0..len {
-            let roll: u32 = rng.gen_range(0..10);
+            let roll: u32 = rng.gen_range(0..11);
             let op = if live.is_empty() || roll <= 2 {
                 Op::RequestVb {
                     client,
@@ -69,6 +76,9 @@ proptest! {
                 match roll {
                     3..=6 => Op::StoreU64 { client, va, value: rng.gen() },
                     7..=8 => Op::LoadU64 { client, va },
+                    // A clone's tables are built in bulk; capped so clones
+                    // of clones do not crowd the other ops out.
+                    10 if live.len() < 6 => Op::CloneVb { client, index: vb.cvt_index },
                     _ => {
                         let index = rng.gen_range(0..live.len());
                         let vb = live.swap_remove(index);
@@ -101,5 +111,79 @@ proptest! {
         prop_assert_eq!(cached.mtl_mut().flush_frame_cache(), 0u64,
             "a second flush must find an empty cache (seed {})", seed);
         prop_assert_eq!(cached.mtl().free_frames(), buddy.mtl().free_frames());
+    }
+
+    #[test]
+    fn cache_fronted_allocator_matches_buddy_only_verb_for_verb(
+        seed in any::<u64>(),
+        len in 1usize..400,
+    ) {
+        // Order > 0 requests are left to the unit tests in `frame_cache.rs`:
+        // which frames are out differs between the two by design, so
+        // contiguity may too.
+        let base = VbiConfig { phys_frames: 96, ..VbiConfig::default() };
+        let mut cached = FrameAllocator::new(&VbiConfig { frame_cache: true, ..base.clone() });
+        let mut plain = FrameAllocator::new(&VbiConfig { frame_cache: false, ..base });
+        // The frames each side has out, index for index the grants of the
+        // same verb.
+        let mut held: Vec<(Frame, Frame)> = Vec::new();
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for step in 0..len {
+            let roll: u32 = rng.gen_range(0..10);
+            match roll {
+                0..=4 => {
+                    let grants = if roll <= 2 {
+                        (cached.allocate(), plain.allocate())
+                    } else {
+                        (cached.allocate_table(0), plain.allocate_table(0))
+                    };
+                    match grants {
+                        (Some(c), Some(p)) => held.push((c, p)),
+                        (None, None) => {}
+                        _ => prop_assert!(false,
+                            "grant diverged at step {} (seed {}, roll {}): {:?}",
+                            step, seed, roll, grants),
+                    }
+                }
+                5..=7 if !held.is_empty() => {
+                    let (c, p) = held.swap_remove(rng.gen_range(0..held.len()));
+                    match roll {
+                        5 => {
+                            cached.free(c);
+                            plain.free(p);
+                        }
+                        6 => {
+                            cached.free_table(c, 0);
+                            plain.free_table(p, 0);
+                        }
+                        _ => {
+                            cached.free_to_pool(c);
+                            plain.free_to_pool(p);
+                        }
+                    }
+                }
+                8 => {
+                    let count = rng.gen_range(1..24);
+                    let retired = cached.retire(count);
+                    prop_assert_eq!(retired, plain.retire(count),
+                        "retire diverged at step {} (seed {})", step, seed);
+                    cached.grow(retired);
+                    plain.grow(retired);
+                }
+                _ => {
+                    cached.top_up_pool(16);
+                    plain.top_up_pool(16);
+                }
+            }
+            prop_assert_eq!(cached.free_frames(), plain.free_frames(),
+                "free-frame gauge diverged at step {} (seed {}, roll {})", step, seed, roll);
+            prop_assert_eq!(cached.held_frames(), held.len() as u64);
+        }
+
+        cached.drain();
+        prop_assert_eq!(plain.drain(), 0u64, "a disabled cache holds nothing");
+        prop_assert_eq!(cached.pool_frames(), plain.pool_frames());
+        prop_assert_eq!(cached.pool_frames(), cached.free_frames());
     }
 }

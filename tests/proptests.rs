@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use vbi::core::buddy::BuddyAllocator;
 use vbi::core::phys::Frame;
 use vbi::core::translate::{PageEntry, TranslationStructure};
+use vbi::core::FrameAllocator;
 use vbi::{Rwx, SizeClass, System, VbProperties, VbiConfig, Vbuid};
 
 proptest! {
@@ -85,12 +86,13 @@ proptest! {
     fn translation_structures_are_consistent(
         pages in prop::collection::hash_set(0u64..32768, 1..40),
     ) {
-        let mut buddy = BuddyAllocator::new(1 << 16);
-        let mut ts = TranslationStructure::multi_level(SizeClass::Mib128, &mut buddy).unwrap();
+        let mut frames =
+            FrameAllocator::new(&VbiConfig { phys_frames: 1 << 16, ..VbiConfig::default() });
+        let mut ts = TranslationStructure::multi_level(SizeClass::Mib128, &mut frames).unwrap();
         let mut expected = std::collections::HashMap::new();
         for (i, &page) in pages.iter().enumerate() {
             let frame = Frame(40_000 + i as u64);
-            ts.set_entry(page, PageEntry::Mapped { frame, cow: false }, &mut buddy).unwrap();
+            ts.set_entry(page, PageEntry::Mapped { frame, cow: false }, &mut frames).unwrap();
             expected.insert(page, frame);
         }
         for page in 0..32768u64 {
@@ -105,7 +107,7 @@ proptest! {
             let walk = ts.walk(page);
             prop_assert!(walk.table_accesses.len() as u32 <= ts.kind().walk_accesses());
         }
-        ts.release_tables(&mut buddy);
+        ts.release_tables(&mut frames);
     }
 
     /// Functional memory semantics: an arbitrary interleaving of writes and

@@ -350,8 +350,9 @@ fn concurrent_churn_leaks_nothing() {
 /// one-page VB, stores, loads it back, stores to a long-lived VB and
 /// releases — one frame allocated and one freed on the worker's home shard
 /// per cycle, which is the traffic the magazine frame cache fronts. With
-/// memory ample (no eviction flushes the magazines) steady-state churn
-/// must be served from them, and every churned frame must come back.
+/// memory ample (the free pool never falls to the cushion under which the
+/// magazines are bypassed) steady-state churn must be served from them,
+/// and every churned frame must come back.
 #[test]
 fn order0_churn_is_magazine_served_and_leaks_nothing() {
     const WORKERS: usize = 4;
@@ -1051,6 +1052,9 @@ fn stranded_store_borrows(drive: StrandedStore) {
     session.store_u64(sibling.at(0), 0xD0_0D).unwrap();
     assert_eq!(session.load_u64(sibling.at(0)).unwrap(), 0xD0_0D);
     assert_eq!(session.load_u64(donor.at(0)).unwrap(), DONOR_VALUE);
+    // Both shards conserve frames across the transfer: the donor's retired
+    // ones, the borrower's adopted ones.
+    assert_eq!(svc.audit(), Ok(()), "{drive:?}");
 }
 
 /// The async front end's acceptance proof: 120 000 awaited ops across
