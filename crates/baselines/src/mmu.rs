@@ -80,11 +80,6 @@ impl TlbHierarchy {
         self.l1.flush();
         self.l2.flush();
     }
-
-    /// `(l1_misses, l2_misses)` counters.
-    pub fn miss_counts(&self) -> (u64, u64) {
-        (self.l1.stats().misses, self.l2.stats().misses)
-    }
 }
 
 /// The 32-entry fully associative page-walk cache (Table 1), caching

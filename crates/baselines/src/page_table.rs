@@ -118,11 +118,6 @@ impl PageTable {
         self.page_size
     }
 
-    /// Physical address of the root node (the CR3 value).
-    pub fn root_addr(&self) -> u64 {
-        self.root.addr
-    }
-
     fn index_at(&self, vaddr: u64, level: u32) -> usize {
         let levels = self.page_size.walk_levels();
         let shift = self.page_size.bits() + 9 * (levels - 1 - level);

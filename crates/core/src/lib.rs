@@ -59,14 +59,14 @@
 //! | [`stats`] | §7.2 | MTL counters, mergeable across shards |
 //! | [`os`] | §3.4, §4.4 | OS model: processes, fork, shared libraries, mmap |
 //! | [`vm`] | §6.1 | virtual-machine partitioning of the VBI space |
-//! | [`multinode`] | §6.2 | per-node MTLs with home-MTL routing and migration |
 //! | [`isa`] | §4 | the six VBI instructions as typed operations |
 //!
 //! All of the above is single-owner state. The concurrent, sharded memory
 //! service built on top — per-shard MTLs ([`Mtl::for_shard`]) behind locks,
 //! shared CVTs, and a batched request path — lives in the `vbi-service`
-//! crate; every type here is `Send + Sync` so shards and clients can be
-//! shared across threads.
+//! crate and is §6.2's multi-node machine: each VB's home MTL is the shard
+//! its high VBID bits name. Every type here is `Send + Sync` so shards and
+//! clients can be shared across threads.
 
 pub mod addr;
 pub mod buddy;
@@ -77,7 +77,6 @@ pub mod error;
 pub mod frame_cache;
 pub mod isa;
 pub mod mtl;
-pub mod multinode;
 pub mod ops;
 pub mod os;
 pub mod perm;
@@ -124,7 +123,6 @@ const _: () = {
     assert_send_sync::<cvt_cache::CvtCache>();
     assert_send_sync::<cvt_cache::SeqCvtCache>();
     assert_send_sync::<client::ClientIdAllocator>();
-    assert_send_sync::<multinode::MultiNodeSystem>();
     assert_send_sync::<MtlStats>();
     assert_send_sync::<VbiError>();
     assert_send_sync::<Telemetry>();

@@ -553,11 +553,10 @@ impl Mtl {
 
     /// Copies the resident contents of `from` (homed on `src`) into the
     /// freshly enabled, same-sized `to` — the data-movement half of §4.2.2's
-    /// "seamlessly migrate/copy VBs" and §6.2's cross-MTL migration, shared
-    /// by the op engine's `Op::Migrate` and
-    /// [`crate::multinode::MultiNodeSystem::migrate_vb`]. `dst` is the
-    /// destination's home MTL when it differs from the source's (`None` =
-    /// both VBs live on `src`, the 1-node case).
+    /// "seamlessly migrate/copy VBs" and §6.2's cross-MTL migration, run by
+    /// the op engine's `Op::Migrate`. `dst` is the destination's home MTL
+    /// when it differs from the source's (`None` = both VBs live on `src`:
+    /// a migration to the shard the VB is already homed on).
     ///
     /// The copy goes page by page and skips never-allocated pages, so
     /// delayed allocation survives the migration; swapped-out source pages
@@ -2206,22 +2205,23 @@ mod tests {
     #[test]
     fn sharded_mtls_carve_disjoint_vbid_slices() {
         let config = small_config(VbiConfig::vbi_full);
-        let shards = 4;
-        let mut mtls: Vec<Mtl> =
-            (0..shards).map(|i| Mtl::for_shard(config.clone(), i, shards)).collect();
-        for sc in [SizeClass::Kib4, SizeClass::Kib128, SizeClass::Tib128] {
-            let slice = sc.vb_count() / shards as u64;
-            let mut seen = Vec::new();
-            for (i, m) in mtls.iter_mut().enumerate() {
-                let vb = m.find_free_vb(sc).unwrap();
-                m.enable_vb(vb, VbProperties::NONE).unwrap();
-                assert_eq!(Mtl::shard_of(vb, shards), i, "{vb}");
-                assert!(m.owns(vb));
-                assert_eq!(vb.vbid() / slice, i as u64, "slice by high VBID bits");
-                seen.push(vb);
+        for shards in [4, 8] {
+            let mut mtls: Vec<Mtl> =
+                (0..shards).map(|i| Mtl::for_shard(config.clone(), i, shards)).collect();
+            for sc in [SizeClass::Kib4, SizeClass::Kib128, SizeClass::Gib4, SizeClass::Tib128] {
+                let slice = sc.vb_count() / shards as u64;
+                let mut seen = Vec::new();
+                for (i, m) in mtls.iter_mut().enumerate() {
+                    let vb = m.find_free_vb(sc).unwrap();
+                    m.enable_vb(vb, VbProperties::NONE).unwrap();
+                    assert_eq!(Mtl::shard_of(vb, shards), i, "{vb}");
+                    assert!(m.owns(vb));
+                    assert_eq!(vb.vbid() / slice, i as u64, "slice by high VBID bits");
+                    seen.push(vb);
+                }
+                seen.dedup();
+                assert_eq!(seen.len(), shards, "no VBUID collisions across shards");
             }
-            seen.dedup();
-            assert_eq!(seen.len(), shards, "no VBUID collisions across shards");
         }
     }
 

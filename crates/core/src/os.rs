@@ -216,11 +216,6 @@ impl Os {
         &self.os_session
     }
 
-    /// The OS's own client ID.
-    pub fn os_client(&self) -> ClientId {
-        self.os_session.id()
-    }
-
     /// Looks up a live process.
     ///
     /// # Errors

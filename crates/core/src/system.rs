@@ -29,7 +29,7 @@ use crate::client::{ClientId, ClientIdAllocator, Cvt, CvtEntry};
 use crate::config::VbiConfig;
 use crate::cvt_cache::{ClientCvtCache, CvtCache, CvtCacheStats};
 use crate::error::{Result, VbiError};
-use crate::mtl::{Mtl, MtlAccess, TranslateResult};
+use crate::mtl::{Mtl, MtlAccess};
 use crate::ops::{self, Op, OpEnv, OpResult};
 use crate::session::{ClientSession, SessionHost};
 use crate::sync::unpoison;
@@ -314,15 +314,6 @@ impl System {
         access: MtlAccess,
     ) -> Result<crate::mtl::Translation> {
         self.lock().mtl.translate(address, access)
-    }
-
-    /// Convenience: whether an address's data is currently backed by
-    /// physical memory (false = zero-line territory).
-    pub fn is_backed(&self, address: VbiAddress) -> bool {
-        matches!(
-            self.lock().mtl.translate(address, MtlAccess::Read).map(|t| t.result),
-            Ok(TranslateResult::Mapped(_))
-        )
     }
 
     // --- capacity management ----------------------------------------------------

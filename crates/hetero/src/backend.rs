@@ -13,7 +13,7 @@ use vbi_core::swap::{BackingStore, PageData, PressureBackend};
 use vbi_core::translate::SwapSlot;
 use vbi_core::{Result, VbiError};
 
-use crate::memory::{HeteroKind, HeteroMemory, HeteroStats, Policy, PAGE_BYTES};
+use crate::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
 
 /// The region ID the backend charges its traffic to — the tier holds one
 /// undifferentiated pool of swapped pages.
@@ -58,12 +58,6 @@ impl SlowTierBackend {
     /// Boxes the backend for `Mtl::set_backing` / service installation.
     pub fn boxed(self) -> Box<dyn PressureBackend> {
         Box::new(self)
-    }
-
-    /// The latency model's accumulated statistics (all accesses are slow
-    /// by construction).
-    pub fn tier_stats(&self) -> HeteroStats {
-        self.tier.stats()
     }
 
     fn at_capacity(&self) -> bool {

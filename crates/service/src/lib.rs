@@ -213,15 +213,6 @@ pub struct ShardLoad {
 }
 
 impl ShardLoad {
-    /// Fraction of acquisitions that blocked (0.0 for an idle shard).
-    pub fn contention_rate(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.contended as f64 / self.acquisitions as f64
-        }
-    }
-
     /// Blocked acquisitions per op executed on the shard (0.0 for an idle
     /// shard) — the load-normalized contention signal a rebalancer wants:
     /// a shard doing 10x the ops is allowed 10x the blocking before it

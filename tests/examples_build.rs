@@ -1,9 +1,9 @@
 //! Smoke check: every example in the workspace must keep compiling.
 //!
-//! The walkthroughs under `examples/` (plus the diagnostic examples in
-//! `crates/sim/examples/`) are documentation as much as code, and nothing
-//! else in `cargo test` would catch them bit-rotting. This test shells out
-//! to the same cargo that is running the tests and builds them all.
+//! The walkthroughs under `examples/` are documentation as much as code,
+//! and nothing else in `cargo test` would catch them bit-rotting. This test
+//! shells out to the same cargo that is running the tests and builds every
+//! example in the workspace.
 
 use std::process::Command;
 

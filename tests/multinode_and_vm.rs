@@ -1,9 +1,10 @@
 //! Integration tests for the system-architecture extensions: virtual
 //! machines (§6.1) and multi-node MTLs (§6.2), exercised together with the
-//! rest of the stack.
+//! rest of the stack. §6.2's machine is the sharded `VbiService`: one MTL
+//! per shard, each VB homed on the shard its high VBID bits name.
 
-use vbi::core::multinode::{MultiNodeSystem, NodeId};
 use vbi::core::vm::{VirtualMachine, VmId, VmPartition};
+use vbi::service::{ServiceConfig, VbiService};
 use vbi::{Rwx, SizeClass, System, VbProperties, VbiConfig, VirtualAddress};
 
 #[test]
@@ -43,36 +44,54 @@ fn guest_and_host_vbs_never_collide() {
 
 #[test]
 fn multinode_machine_places_and_migrates() {
-    let mut machine =
-        MultiNodeSystem::new(4, VbiConfig { phys_frames: 4096, ..VbiConfig::vbi_full() });
+    // Four nodes (§6.2): four home MTLs of 4096 frames each.
+    let svc = VbiService::new(ServiceConfig::new(
+        4,
+        VbiConfig { phys_frames: 4 * 4096, ..VbiConfig::vbi_full() },
+    ));
+    let baseline = svc.free_frames();
+    let app = svc.create_client().unwrap();
+    let allocated =
+        || -> Vec<u64> { svc.shard_stats().iter().map(|s| s.pages_allocated).collect() };
+    // Since `before`, shard `home` allocated `pages` pages and no other
+    // shard allocated any.
+    let assert_allocated_only_on = |before: &[u64], home: usize, pages: u64| {
+        for (shard, (now, then)) in allocated().iter().zip(before).enumerate() {
+            let want = if shard == home { pages } else { 0 };
+            assert_eq!(now - then, want, "pages allocated on shard {shard}");
+        }
+    };
 
-    // A "process" on node 1 gets a local VB and fills it.
-    let vb = machine.enable_vb_on(NodeId(1), SizeClass::Kib128, VbProperties::NONE).unwrap();
-    for page in 0..32u64 {
-        machine.write_u64(vb.address(page << 12).unwrap(), page * 3).unwrap();
+    // A "process" on node 1 gets a VB homed there (placed by migrating a
+    // fresh, never-written VB) and writes every fifth page: only node 1
+    // allocates, one frame per page written.
+    let before = allocated();
+    let vb = app.request_vb(128 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+    let vb = app.migrate(vb.cvt_index, 1).unwrap();
+    assert_eq!(svc.shard_of(vb.vbuid), 1);
+    let written: Vec<u64> = (0..32).step_by(5).collect();
+    for &page in &written {
+        app.store_u64(vb.at(page << 12), 1000 + page).unwrap();
     }
+    assert_allocated_only_on(&before, 1, written.len() as u64);
 
     // Phase change: the process moves to node 2; the OS migrates the VB.
-    let moved = machine.migrate_vb(vb, NodeId(2)).unwrap();
-    machine.mtl_mut(NodeId(1)).disable_vb(vb).unwrap();
+    // Delayed allocation survives: the destination allocates exactly the
+    // pages that were written.
+    let before = allocated();
+    let moved = app.migrate(vb.cvt_index, 2).unwrap();
+    assert_eq!(moved.cvt_index, vb.cvt_index, "the program's pointer stays valid");
+    assert_eq!(svc.shard_of(moved.vbuid), 2);
+    assert_allocated_only_on(&before, 2, written.len() as u64);
     for page in 0..32u64 {
-        assert_eq!(machine.read_u64(moved.address(page << 12).unwrap()).unwrap(), page * 3);
+        let want = if written.contains(&page) { 1000 + page } else { 0 };
+        assert_eq!(app.load_u64(moved.at(page << 12)).unwrap(), want, "page {page}");
     }
+    // The zero-line reads of the unwritten pages allocated nothing.
+    assert_allocated_only_on(&before, 2, written.len() as u64);
 
-    // Node 1's memory is fully reclaimed; node 2 now holds the data.
-    assert_eq!(machine.mtl(NodeId(1)).free_frames(), 4096);
-    assert!(machine.mtl(NodeId(2)).free_frames() < 4096);
-}
-
-#[test]
-fn multinode_vbs_are_globally_unique() {
-    let machine = MultiNodeSystem::new(8, VbiConfig::vbi_full());
-    let mut seen = std::collections::HashSet::new();
-    for node in 0..8u8 {
-        for local in 0..16u64 {
-            let vb = machine.vbuid_on(NodeId(node), SizeClass::Gib4, local).unwrap();
-            assert_eq!(machine.home_of(vb), NodeId(node));
-            assert!(seen.insert(vb));
-        }
-    }
+    // Releasing the VB returns every frame, node 1's included.
+    app.release_vb(moved.cvt_index).unwrap();
+    assert_eq!(svc.free_frames(), baseline);
+    assert_eq!(svc.audit(), Ok(()));
 }
