@@ -39,11 +39,6 @@ pub struct VbiConfig {
     /// Bits of the VBID reserved for virtual-machine IDs (§6.1); 0 disables
     /// VM partitioning, 5 supports 31 VMs + host as in Figure 5.
     pub vm_id_bits: u32,
-    /// Policy ordering eviction victims under memory pressure (§3.4).
-    pub eviction: EvictionPolicy,
-    /// Pages the engine reclaims per pressure event (the batch evicted when
-    /// an op fails for lack of physical memory, before the op retries).
-    pub pressure_reclaim_batch: usize,
     /// Record per-op counters and latency histograms at `execute`
     /// boundaries (the [`crate::telemetry`] metrics registry). Cheap —
     /// a few relaxed atomics per op — and togglable at runtime through
@@ -71,24 +66,6 @@ pub struct VbiConfig {
     /// Upper bound on frames pulled from the buddy per cache refill
     /// (clamped to the magazine size).
     pub frame_cache_refill: usize,
-}
-
-/// How a shard's MTL picks eviction victims under memory pressure (§3.4,
-/// "Physical Memory Capacity Management").
-///
-/// The MTL sees every main-memory access, so it can maintain per-page
-/// reference bits (the `HotnessTracker` argument of §2/§7.3) and give
-/// recently touched pages a second chance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Clock / second-chance: sweep resident pages in a fixed circular
-    /// order, skipping (and clearing the reference bit of) pages touched
-    /// since the last sweep.
-    #[default]
-    Clock,
-    /// Evict in sweep order, ignoring reference bits — the baseline an
-    /// access-bit-aware MTL is compared against.
-    ScanOrder,
 }
 
 impl VbiConfig {
@@ -131,8 +108,6 @@ impl Default for VbiConfig {
             delayed_allocation: true,
             early_reservation: true,
             vm_id_bits: 0,
-            eviction: EvictionPolicy::Clock,
-            pressure_reclaim_batch: 8,
             telemetry_metrics: true,
             telemetry_tracing: false,
             trace_capacity: 4096,

@@ -81,6 +81,7 @@ pub mod ops;
 pub mod os;
 pub mod perm;
 pub mod phys;
+mod reservation;
 pub mod session;
 pub mod stats;
 pub mod swap;
@@ -95,7 +96,7 @@ pub mod vm;
 
 pub use addr::{SizeClass, VbiAddress, Vbuid};
 pub use client::{ClientId, VirtualAddress};
-pub use config::{EvictionPolicy, VbiConfig};
+pub use config::VbiConfig;
 pub use error::{Result, VbiError};
 pub use frame_cache::{FrameAllocator, FrameCache, FrameCacheStats};
 pub use mtl::Mtl;

@@ -19,16 +19,19 @@
 //!    to reserve the whole VB contiguously (direct mapping, one TLB entry);
 //!    under pressure, reserved-but-unused frames can be stolen by other VBs,
 //!    demoting the owner to a table-based structure if its contiguity breaks.
+//!    The runs and who owns which frame are kept in `reservation.rs`, which
+//!    alone edits them; the MTL calls its verbs.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Bound::{self, Excluded, Unbounded};
 
 use crate::addr::{SizeClass, VbiAddress, Vbuid};
 use crate::buddy::Order;
-use crate::config::{EvictionPolicy, VbiConfig};
+use crate::config::VbiConfig;
 use crate::error::{Result, VbiError};
 use crate::frame_cache::{FrameAllocator, POOL_HEADROOM};
 use crate::phys::{Frame, PhysAddr, PhysicalMemory, FRAME_BYTES};
+use crate::reservation::Reservations;
 use crate::stats::MtlStats;
 use crate::swap::{BackingStore, PressureBackend};
 use crate::tlb::Tlb;
@@ -83,49 +86,6 @@ pub struct Translation {
     pub events: TranslationEvents,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// Free, reserved for the owning VB.
-    Reserved,
-    /// Allocated to the owning VB.
-    Used,
-    /// Handed to another VB under memory pressure.
-    Stolen,
-}
-
-/// The contiguous run early reservation (§5.3) set aside for one VB: slot
-/// `i` is frame `base + i`, reserved for page `i`. A VB has one only while
-/// a run was actually reserved for it.
-#[derive(Debug, Clone)]
-struct Reservation {
-    base: Frame,
-    slots: Vec<SlotState>,
-}
-
-impl Reservation {
-    fn slot_of_frame(&self, frame: Frame) -> Option<usize> {
-        let slot = frame.0.checked_sub(self.base.0)? as usize;
-        (slot < self.slots.len()).then_some(slot)
-    }
-
-    fn reserved_slots(&self) -> usize {
-        self.slots.iter().filter(|slot| **slot == SlotState::Reserved).count()
-    }
-
-    /// Marks one reserved slot — the last if `from_end`, else the first —
-    /// stolen and returns its frame.
-    fn take_reserved(&mut self, from_end: bool) -> Option<Frame> {
-        let reserved = |slot: &SlotState| *slot == SlotState::Reserved;
-        let slot = if from_end {
-            self.slots.iter().rposition(reserved)
-        } else {
-            self.slots.iter().position(reserved)
-        }?;
-        self.slots[slot] = SlotState::Stolen;
-        Some(self.base.offset(slot as u64))
-    }
-}
-
 /// Which resident pages one pass of the eviction sweep may evict.
 #[derive(Debug, Clone, Copy)]
 struct SweepPass {
@@ -165,13 +125,12 @@ pub struct Mtl {
     vit_cache: Tlb<Vbuid, TranslationKind>,
     page_tlb: Tlb<(Vbuid, u64), (Frame, bool)>,
     direct_tlb: Tlb<Vbuid, Frame>,
-    reservations: HashMap<Vbuid, Reservation>,
+    /// Early reservation's runs (§5.3), changed only through their verbs.
+    reservations: Reservations,
     /// Share counts for live data frames (1 = sole owner; >1 = COW-shared):
     /// each entry counts the resident pages that map the frame, and a frame
     /// no page maps has no entry ([`Mtl::audit`] checks both).
     frame_shares: HashMap<u64, u32>,
-    /// Reverse map from reserved-region frames to the reservation owner.
-    extent_owner: HashMap<u64, Vbuid>,
     swap: Box<dyn PressureBackend>,
     /// The resident-page index: exactly the `(vbuid, page)` pairs that have
     /// a frame right now, in the order the eviction sweep visits them. The
@@ -236,9 +195,8 @@ impl Mtl {
             vit_cache: Tlb::fully_associative(config.vit_cache_entries),
             page_tlb: Tlb::new(config.mtl_tlb_entries, config.mtl_tlb_ways),
             direct_tlb: Tlb::fully_associative(config.mtl_direct_tlb_entries),
-            reservations: HashMap::new(),
+            reservations: Reservations::default(),
             frame_shares: HashMap::new(),
-            extent_owner: HashMap::new(),
             swap: Box::new(BackingStore::new()),
             resident: BTreeSet::new(),
             ref_bits: HashSet::new(),
@@ -1068,10 +1026,9 @@ impl Mtl {
     /// come up sorted by `(vbuid, page)` and rotated to resume after the
     /// hand, so identically-driven MTLs (the 1-shard service vs `System`
     /// equivalence, split-vs-combined stats runs) pick identical victims
-    /// regardless of hash-map iteration order. Under
-    /// [`EvictionPolicy::Clock`] a set reference bit buys the page one
-    /// sweep of grace (the bit is cleared and the hand moves on); under
-    /// [`EvictionPolicy::ScanOrder`] bits are ignored. Unpinned VBs are
+    /// regardless of hash-map iteration order. The sweep is clock /
+    /// second-chance (§3.4): a set reference bit buys the page one sweep of
+    /// grace (the bit is cleared and the hand moves on). Unpinned VBs are
     /// always swept before pinned ones.
     ///
     /// Two laps bound each pass: the first clears reference bits, the
@@ -1122,7 +1079,6 @@ impl Mtl {
         count: usize,
         reclaimed: &mut usize,
     ) -> Option<(Vbuid, u64)> {
-        let second_chance = self.config.eviction == EvictionPolicy::Clock;
         let mut after = start.map_or(Unbounded, Excluded);
         let mut wrapped = false;
         let mut last = None;
@@ -1138,7 +1094,7 @@ impl Mtl {
             after = Excluded(key);
             last = Some(key);
             self.clock_hand = last;
-            if second_chance && self.ref_bits.remove(&key) {
+            if self.ref_bits.remove(&key) {
                 continue;
             }
             if self.swap_out_page(key.0, key.1).is_ok() {
@@ -1194,6 +1150,10 @@ impl Mtl {
     ///   entry counts the pages naming its frame, and no frame is counted
     ///   that no page maps;
     /// * every reference bit belongs to a resident page;
+    /// * early reservation's counts of unused slots (per run and
+    ///   machine-wide) equal the reserved slots of its runs, and its owner
+    ///   map holds exactly the reserved and used slots of live runs, each
+    ///   naming its own run;
     /// * frame conservation: the frames the allocator has out (neither
     ///   free nor retired by a donation) are as many as the data frames in
     ///   `frame_shares`, the reserved-but-unused slots of every reservation
@@ -1240,8 +1200,9 @@ impl Mtl {
         if let Some(stray) = self.ref_bits.iter().find(|key| !self.resident.contains(key)) {
             return Err(format!("reference bit on non-resident page {stray:?}"));
         }
+        self.reservations.audit()?;
         let data = self.frame_shares.len();
-        let reserved: usize = self.reservations.values().map(Reservation::reserved_slots).sum();
+        let reserved = self.reservations.unused();
         let table: usize = self
             .vits
             .enabled_vbs()
@@ -1348,47 +1309,36 @@ impl Mtl {
             return Ok(());
         }
         let size_class = vbuid.size_class();
-        let structure = if self.config.early_reservation {
+        let run = if self.config.early_reservation {
             // A one-frame run is an ordinary data frame (the hot path of
             // 4 KiB VB request/release churn); a longer one needs
             // contiguity, which the allocator clears the way for itself.
-            let order = size_class.pages().trailing_zeros() as Order;
-            if let Some(base) = self.frames.allocate_run(order) {
-                // Full contiguous reservation: direct mapping.
+            let run = self.frames.allocate_run(size_class.pages().trailing_zeros() as Order);
+            if run.is_some() {
                 self.stats.reservations_full += 1;
-                return self.reserve_direct(vbuid, base);
+            } else {
+                self.stats.reservations_partial += 1;
             }
-            self.stats.reservations_partial += 1;
-            self.table_structure_for(size_class)?
+            run
+        } else if TranslationKind::static_policy(size_class) == TranslationKind::Direct {
+            // A 4 KiB VB is a single frame: direct by construction. The frame
+            // is held as a one-slot reservation until `allocate_page_frame`
+            // marks it used, keeping the accounting uniform with early
+            // reservation.
+            Some(self.allocate_raw_frame(vbuid)?)
         } else {
-            match TranslationKind::static_policy(size_class) {
-                TranslationKind::Direct => {
-                    // A 4 KiB VB is a single frame: direct by construction.
-                    // The frame is held as a one-slot reservation until
-                    // `allocate_page_frame` marks it used, keeping the
-                    // accounting uniform with early reservation.
-                    let frame = self.allocate_raw_frame(vbuid)?;
-                    return self.reserve_direct(vbuid, frame);
-                }
-                _ => self.table_structure_for(size_class)?,
-            }
+            None
         };
-        self.vits.entry_mut(vbuid)?.translation = Some(structure);
-        Ok(())
-    }
-
-    /// Records the run at `base` as `vbuid`'s reservation, one slot per
-    /// page of the VB, and direct-maps the VB onto it.
-    fn reserve_direct(&mut self, vbuid: Vbuid, base: Frame) -> Result<()> {
-        let size_class = vbuid.size_class();
-        let pages = size_class.pages();
-        for i in 0..pages {
-            self.extent_owner.insert(base.0 + i, vbuid);
-        }
-        let slots = vec![SlotState::Reserved; pages as usize];
-        self.reservations.insert(vbuid, Reservation { base, slots });
-        let mut structure = TranslationStructure::direct(size_class);
-        structure.set_direct_base(base);
+        // A reserved run, one slot per page, direct-maps the VB.
+        let structure = match run {
+            Some(base) => {
+                self.reservations.reserve(vbuid, base, size_class.pages());
+                let mut structure = TranslationStructure::direct(size_class);
+                structure.set_direct_base(base);
+                structure
+            }
+            None => self.table_structure_for(size_class)?,
+        };
         self.vits.entry_mut(vbuid)?.translation = Some(structure);
         Ok(())
     }
@@ -1398,16 +1348,7 @@ impl Mtl {
     /// (3) frames reserved for other VBs (stealing).
     fn allocate_page_frame(&mut self, vbuid: Vbuid, page: u64) -> Result<Frame> {
         // Priority 1: the slot the VB's own reservation holds for the page.
-        let own = self.reservations.get_mut(&vbuid).and_then(|reservation| {
-            let slot = reservation.slots.get_mut(page as usize)?;
-            if *slot != SlotState::Reserved {
-                return None;
-            }
-            *slot = SlotState::Used;
-            Some(reservation.base.offset(page))
-        });
-        // Priorities 2 and 3.
-        let frame = match own {
+        let frame = match self.reservations.take_own(vbuid, page) {
             Some(frame) => frame,
             None => self.allocate_raw_frame(vbuid)?,
         };
@@ -1417,44 +1358,27 @@ impl Mtl {
     }
 
     /// Priorities 2 (unreserved free frame) and 3 (steal from another VB's
-    /// reservation), with a final attempt to reclaim by swapping.
-    fn allocate_raw_frame(&mut self, vbuid: Vbuid) -> Result<Frame> {
-        if let Some(frame) = self.frames.allocate() {
-            return Ok(frame);
-        }
-        if let Some(frame) = self.steal_reserved_frame(vbuid) {
-            return Ok(frame);
-        }
-        // Last resort: swap something out and retry once.
-        if self.reclaim_pages(1, vbuid) > 0 {
-            if let Some(frame) = self.frames.allocate() {
-                return Ok(frame);
-            }
-            if let Some(frame) = self.steal_reserved_frame(vbuid) {
-                return Ok(frame);
-            }
-        }
-        Err(VbiError::OutOfPhysicalMemory)
-    }
-
-    /// Priority 3: takes the first reserved-but-unused frame of some other
-    /// VB's reservation. Which owner pays follows the map's iteration
-    /// order, which `HashMap` does not fix from run to run.
+    /// reservation), retried once after swapping a page out.
     ///
     /// Stealing a reserved-but-unallocated frame does NOT break the owner's
     /// direct mapping: "a VB is considered directly mapped as long as all
     /// its allocated memory is mapped to a single contiguous region"
     /// (§5.3). The owner demotes lazily, only if it later needs the stolen
     /// slot (see `map_allocated`).
-    fn steal_reserved_frame(&mut self, thief: Vbuid) -> Option<Frame> {
-        let frame = self
-            .reservations
-            .iter_mut()
-            .filter(|(owner, _)| **owner != thief)
-            .find_map(|(_, reservation)| reservation.take_reserved(false))?;
-        self.extent_owner.remove(&frame.0);
-        self.stats.frames_stolen += 1;
-        Some(frame)
+    fn allocate_raw_frame(&mut self, vbuid: Vbuid) -> Result<Frame> {
+        for retry in [false, true] {
+            if retry && self.reclaim_pages(1, vbuid) == 0 {
+                break;
+            }
+            if let Some(frame) = self.frames.allocate() {
+                return Ok(frame);
+            }
+            if let Some(frame) = self.reservations.steal(vbuid) {
+                self.stats.frames_stolen += 1;
+                return Ok(frame);
+            }
+        }
+        Err(VbiError::OutOfPhysicalMemory)
     }
 
     /// Tops the allocator's free pool up to [`POOL_HEADROOM`] frames
@@ -1471,40 +1395,12 @@ impl Mtl {
         }
     }
 
-    /// Releases one reserved frame from any reservation into the free pool.
-    ///
-    /// Frames are taken from the *end* of the largest reservation so that
-    /// (1) consecutive releases hand out physically adjacent frames — which
-    /// keeps the thief's data row-buffer friendly and lets the buddy merge
-    /// them back — and (2) the owner's (front-allocated) pages stay clear of
-    /// the stolen zone for as long as possible.
+    /// Releases one reserved frame of any reservation into the free pool.
     fn release_one_reserved_frame(&mut self) -> bool {
-        let released = self
-            .reservations
-            .iter_mut()
-            .filter(|(_, r)| r.slots.contains(&SlotState::Reserved))
-            .max_by_key(|(vb, r)| (r.slots.len(), **vb))
-            .and_then(|(_, r)| r.take_reserved(true));
-        let Some(frame) = released else { return false };
-        self.extent_owner.remove(&frame.0);
+        let Some(frame) = self.reservations.release_largest() else { return false };
         self.frames.free_to_pool(frame);
         self.stats.frames_stolen += 1;
         true
-    }
-
-    /// Returns up to `count` of an owner's reserved frames to the free pool
-    /// (marking their slots stolen), e.g. to fund the owner's own demotion
-    /// tables under memory pressure.
-    fn release_reserved_to_pool(&mut self, owner: Vbuid, count: usize) -> usize {
-        let Some(reservation) = self.reservations.get_mut(&owner) else { return 0 };
-        let mut released = 0;
-        while released < count {
-            let Some(frame) = reservation.take_reserved(false) else { break };
-            self.extent_owner.remove(&frame.0);
-            self.frames.free_to_pool(frame);
-            released += 1;
-        }
-        released
     }
 
     /// Builds the table-based replacement for `vbuid`'s direct structure,
@@ -1525,7 +1421,9 @@ impl Mtl {
             match self.demote_structure(vbuid.size_class(), structure, replace) {
                 Ok(table) => return Ok(table),
                 Err(_) => {
-                    if self.release_reserved_to_pool(vbuid, 64) > 0 {
+                    let own = self.reservations.release_from(vbuid, 64);
+                    own.iter().for_each(|&frame| self.frames.free_to_pool(frame));
+                    if !own.is_empty() {
                         continue;
                     }
                     let mut released = false;
@@ -1670,40 +1568,16 @@ impl Mtl {
         }
         self.frame_shares.remove(&frame.0);
         self.mem.zero_frame(frame);
-        if let Some(owner) = self.extent_owner.get(&frame.0).copied() {
-            if let Some(reservation) = self.reservations.get_mut(&owner) {
-                if let Some(slot) = reservation.slot_of_frame(frame) {
-                    reservation.slots[slot] = SlotState::Reserved;
-                    return;
-                }
-            }
-            self.extent_owner.remove(&frame.0);
+        if !self.reservations.give_back(frame) {
+            self.frames.free(frame);
         }
-        self.frames.free(frame);
     }
 
-    /// Dissolves a VB's reservation: still-reserved frames are freed, used
-    /// ones stop belonging to it (they are freed through the pages that map
-    /// them — the VB's own, or after a promotion the destination's), and
-    /// stolen ones are not its to touch: a stolen slot's owner record went
-    /// when it was taken, and the frame may since have been reserved by
-    /// another VB.
+    /// Dissolves a VB's reservation, freeing its still-reserved frames
+    /// through the magazines (one-frame VB churn frees its frame here).
     fn teardown_reservation(&mut self, vbuid: Vbuid) {
-        let Some(reservation) = self.reservations.remove(&vbuid) else { return };
-        for (i, slot) in reservation.slots.iter().enumerate() {
-            let frame = reservation.base.offset(i as u64);
-            match slot {
-                SlotState::Reserved => {
-                    self.extent_owner.remove(&frame.0);
-                    // Through the magazines: the request/release churn of a
-                    // one-frame direct VB frees its frame right here.
-                    self.frames.free(frame);
-                }
-                SlotState::Used => {
-                    self.extent_owner.remove(&frame.0);
-                }
-                SlotState::Stolen => {}
-            }
+        for frame in self.reservations.teardown(vbuid) {
+            self.frames.free(frame);
         }
     }
 }
@@ -1845,6 +1719,7 @@ mod tests {
         assert_eq!(m.stats().reservations_partial, 1);
         // Only a run that was actually reserved leaves a reservation.
         assert!(m.reservations.is_empty());
+        assert_eq!(m.audit(), Ok(()));
     }
 
     #[test]
@@ -2068,21 +1943,56 @@ mod tests {
         assert!(m.stats().frames_stolen >= 16);
         let raided = [a, b]
             .into_iter()
-            .find(|vb| m.reservations[vb].slots.contains(&SlotState::Stolen))
+            .find(|&vb| !m.reservations.stolen_frames(vb).is_empty())
             .expect("one run was raided");
         // A 4 KiB VB reserves one of the released frames.
         let small = enabled_vb(&mut m, SizeClass::Kib4);
         m.write_u64(small.address(0).unwrap(), 4).unwrap();
-        let frame = m.reservations[&small].base;
-        let slot = m.reservations[&raided].slot_of_frame(frame).expect("a released frame");
-        assert_eq!(m.reservations[&raided].slots[slot], SlotState::Stolen);
-        assert_eq!(m.extent_owner.get(&frame.0), Some(&small));
+        let frame = m.reservations.base(small);
+        assert!(m.reservations.stolen_frames(raided).contains(&frame), "a released frame");
+        assert_eq!(m.reservations.owner(frame), Some(small));
         // The frame is `small`'s now, and the raided VB's teardown must not
         // strip that: `small`'s freed page would go to the pool instead of
         // back to its reservation, and its next touch would cost a demotion.
         m.disable_vb(raided).unwrap();
-        assert_eq!(m.extent_owner.get(&frame.0), Some(&small));
+        assert_eq!(m.reservations.owner(frame), Some(small));
         assert_eq!(m.audit(), Ok(()));
+    }
+
+    #[test]
+    fn a_steal_takes_the_last_unused_slot_of_the_largest_run() {
+        let drive = || {
+            let mut m = Mtl::new(VbiConfig { phys_frames: 2048, ..VbiConfig::vbi_full() });
+            // Two direct VBs with unused reserved slots, and a VB too large
+            // to reserve, so its pages come from the pool or a steal.
+            let large = enabled_vb(&mut m, SizeClass::Mib4);
+            let small = enabled_vb(&mut m, SizeClass::Kib128);
+            let thief = enabled_vb(&mut m, SizeClass::Mib128);
+            for vb in [large, small, thief] {
+                m.write_u64(vb.address(0).unwrap(), 1).unwrap();
+            }
+            // Retire every free frame: with the pool empty, the thief's next
+            // page (in the leaf table it already has) must be stolen.
+            m.donate_frames(m.free_frames() as usize);
+            let expected = *m.reservations.unused_frames(large).last().unwrap();
+            let stolen = m.stats().frames_stolen;
+            assert_eq!(m.allocate_and_map(thief, 1), Ok(expected));
+            assert_eq!(m.stats().frames_stolen, stolen + 1);
+            assert_eq!(m.reservations.stolen_frames(large), [expected]);
+            // Both owners then touch their last page: only `large` lost that
+            // slot, so only `large` demotes.
+            for vb in [large, small] {
+                let last = vb.size_class().pages() - 1;
+                m.write_u64(vb.address(last << 12).unwrap(), last).unwrap();
+            }
+            assert_ne!(m.translation_kind(large).unwrap(), Some(TranslationKind::Direct));
+            assert_eq!(m.translation_kind(small).unwrap(), Some(TranslationKind::Direct));
+            assert_eq!(m.audit(), Ok(()));
+            m
+        };
+        let (first, second) = (drive(), drive());
+        assert_eq!(first.stats(), second.stats());
+        assert_eq!(first.free_frames(), second.free_frames());
     }
 
     #[test]
@@ -2358,7 +2268,7 @@ mod tests {
         // reservation — with a second VB's pages, stopping short of the
         // first eviction.
         let filler = enabled_vb(&mut m, SizeClass::Mib4);
-        let reserved_left = |m: &Mtl| m.reservations[&direct].reserved_slots() > 0;
+        let reserved_left = |m: &Mtl| !m.reservations.unused_frames(direct).is_empty();
         let mut page = 0u64;
         while m.free_frames() > 0 || reserved_left(&m) {
             m.write_u64(filler.address(page << 12).unwrap(), page).unwrap();
@@ -2418,14 +2328,13 @@ mod tests {
                     None => 0,
                 };
                 let n = candidates.len();
-                let second_chance = self.config.eviction == EvictionPolicy::Clock;
                 for step in 0..2 * n {
                     if reclaimed >= count {
                         break;
                     }
                     let (vb, page) = candidates[(start + step) % n];
                     self.clock_hand = Some((vb, page));
-                    if second_chance && self.ref_bits.remove(&(vb, page)) {
+                    if self.ref_bits.remove(&(vb, page)) {
                         continue;
                     }
                     if self.swap_out_page(vb, page).is_ok() {
@@ -2464,9 +2373,9 @@ mod tests {
     }
 
     impl Differential {
-        fn new(eviction: EvictionPolicy, swap_pages: Option<usize>) -> Self {
+        fn new(swap_pages: Option<usize>) -> Self {
             let build = |sweep_by_scan| {
-                let config = VbiConfig { phys_frames: 96, eviction, ..VbiConfig::vbi_full() };
+                let config = VbiConfig { phys_frames: 96, ..VbiConfig::vbi_full() };
                 let mut m = Mtl::new(config);
                 m.set_backing(Box::new(TestBacking { capacity: swap_pages, ..Default::default() }))
                     .unwrap();
@@ -2561,21 +2470,17 @@ mod tests {
 
     #[test]
     fn the_index_sweep_picks_the_reference_sweeps_victims() {
-        // Unbounded backing store under both policies, then a store so small
-        // that sweeps meet `BackingStoreFull` half way.
-        for (eviction, swap_pages) in [
-            (EvictionPolicy::Clock, None),
-            (EvictionPolicy::ScanOrder, None),
-            (EvictionPolicy::Clock, Some(40)),
-        ] {
+        // An unbounded backing store, then one so small that sweeps meet
+        // `BackingStoreFull` half way.
+        for swap_pages in [None, Some(40)] {
             for seed in 1..=4u64 {
-                let mut pair = Differential::new(eviction, swap_pages);
+                let mut pair = Differential::new(swap_pages);
                 let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 for _ in 0..1500 {
                     pair.step(&mut rng);
                 }
                 let stats = pair.index.stats();
-                assert!(stats.evictions > 100, "{eviction:?} seed {seed}: {stats:?}");
+                assert!(stats.evictions > 100, "{swap_pages:?} seed {seed}: {stats:?}");
                 assert!(stats.faults_in > 0 && stats.demotions > 0 && stats.cow_copies > 0);
                 assert!(stats.vbs_cloned > 0 && stats.promotions > 0);
             }

@@ -1047,6 +1047,10 @@ pub fn run_checked(mtl: &mut Mtl, op: &Op, address: VbiAddress) -> OpResult {
     }
 }
 
+/// Pages the engine reclaims per pressure event: the batch evicted when an
+/// op fails for lack of physical memory, before the op retries.
+const PRESSURE_RECLAIM_BATCH: usize = 8;
+
 /// Runs a fallible MTL action at `address` with the engine's pressure
 /// path wrapped around it: when the action fails for lack of physical
 /// memory, the shard's eviction policy reclaims a batch of resident pages
@@ -1066,11 +1070,10 @@ pub fn with_pressure<R>(
 ) -> (Result<R>, bool) {
     let faults_before = mtl.stats().faults_in;
     let mut result = f(mtl);
-    if matches!(result, Err(VbiError::OutOfPhysicalMemory)) {
-        let batch = mtl.config().pressure_reclaim_batch.max(1);
-        if mtl.reclaim_for(address.vbuid(), address.page_index(), batch) > 0 {
-            result = f(mtl);
-        }
+    if matches!(result, Err(VbiError::OutOfPhysicalMemory))
+        && mtl.reclaim_for(address.vbuid(), address.page_index(), PRESSURE_RECLAIM_BATCH) > 0
+    {
+        result = f(mtl);
     }
     (result, mtl.stats().faults_in > faults_before)
 }
@@ -1191,7 +1194,7 @@ fn run_group<E: OpEnv>(env: &mut E, group: &mut [Checked<'_>]) {
     let home = first.address.vbuid();
     let starved = env.with_home_mtl_for(home, group.len(), |mtl| serve(mtl, group));
     if starved > 0 {
-        let want = env.config().pressure_reclaim_batch.max(starved);
+        let want = PRESSURE_RECLAIM_BATCH.max(starved);
         if env.borrow_frames(home, want) > 0 {
             env.with_home_mtl_for(home, starved, |mtl| serve(mtl, group));
         }
