@@ -74,12 +74,6 @@ impl TlbHierarchy {
         self.l1.insert(vpn, frame);
         self.l2.insert(vpn, frame);
     }
-
-    /// Drops everything (context switch between workloads).
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-    }
 }
 
 /// The 32-entry fully associative page-walk cache (Table 1), caching
@@ -113,11 +107,6 @@ impl PageWalkCache {
         }
         &steps[start..]
     }
-
-    /// Drops everything.
-    pub fn flush(&mut self) {
-        self.cache.flush();
-    }
 }
 
 impl Default for PageWalkCache {
@@ -150,24 +139,6 @@ pub struct NativeMmu {
     pwc: PageWalkCache,
     frames: FrameAlloc,
     page_size: PageSize,
-    stats: MmuStats,
-}
-
-/// Aggregate MMU statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MmuStats {
-    /// Translations requested.
-    pub translations: u64,
-    /// L1 TLB hits.
-    pub l1_hits: u64,
-    /// L2 TLB hits.
-    pub l2_hits: u64,
-    /// Full or partial walks performed.
-    pub walks: u64,
-    /// Page-table entry reads issued by walks.
-    pub walk_accesses: u64,
-    /// Pages allocated on demand.
-    pub pages_allocated: u64,
 }
 
 impl NativeMmu {
@@ -181,33 +152,16 @@ impl NativeMmu {
             pwc: PageWalkCache::new(),
             frames,
             page_size,
-            stats: MmuStats::default(),
         }
-    }
-
-    /// The configured page size.
-    pub fn page_size(&self) -> PageSize {
-        self.page_size
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> MmuStats {
-        self.stats
     }
 
     /// Translates a virtual address, allocating the page on first touch
     /// (demand paging).
     pub fn translate(&mut self, vaddr: u64) -> MmuTranslation {
-        self.stats.translations += 1;
         let vpn = vaddr >> self.page_size.bits();
         let offset = vaddr & (self.page_size.bytes() - 1);
 
         if let Some((frame, l1)) = self.tlbs.lookup(vpn) {
-            if l1 {
-                self.stats.l1_hits += 1;
-            } else {
-                self.stats.l2_hits += 1;
-            }
             return MmuTranslation {
                 paddr: (frame << 12) + offset,
                 events: MmuEvents { l1_tlb_hit: l1, l2_tlb_hit: !l1, ..Default::default() },
@@ -215,7 +169,6 @@ impl NativeMmu {
         }
 
         // TLB miss: walk, demand-allocating if needed.
-        self.stats.walks += 1;
         let mut walk = self.page_table.walk(vaddr);
         let mut allocated = false;
         if walk.frame.is_none() {
@@ -224,25 +177,17 @@ impl NativeMmu {
                 PageSize::Mb2 => self.frames.contiguous(512),
             };
             self.page_table.map(vaddr, frame, &mut self.frames);
-            self.stats.pages_allocated += 1;
             allocated = true;
             walk = self.page_table.walk(vaddr);
         }
         let frame = walk.frame.expect("just mapped");
         let charged = self.pwc.filter(&walk.steps);
         let walk_accesses: Vec<u64> = charged.iter().map(|s| s.entry_addr).collect();
-        self.stats.walk_accesses += walk_accesses.len() as u64;
         self.tlbs.insert(vpn, frame);
         MmuTranslation {
             paddr: (frame << 12) + offset,
             events: MmuEvents { walk_accesses, allocated, ..Default::default() },
         }
-    }
-
-    /// Flushes TLBs and the PWC (context switch between benchmark runs).
-    pub fn flush_tlbs(&mut self) {
-        self.tlbs.flush();
-        self.pwc.flush();
     }
 }
 
@@ -299,7 +244,6 @@ mod tests {
         let t = mmu.translate(0x1800);
         assert!(t.events.l1_tlb_hit);
         assert!(t.events.walk_accesses.is_empty());
-        assert_eq!(mmu.stats().l1_hits, 1);
     }
 
     #[test]
@@ -328,14 +272,18 @@ mod tests {
     fn two_mb_reach_is_512x() {
         let mut mmu4 = NativeMmu::new(PageSize::Kb4, 1 << 20);
         let mut mmu2 = NativeMmu::new(PageSize::Mb2, 1 << 20);
-        // Stride through 16 MiB; count walks.
-        for addr in (0..(16 << 20)).step_by(4096) {
-            mmu4.translate(addr);
-            mmu2.translate(addr);
-        }
-        assert_eq!(mmu2.stats().pages_allocated, 8);
-        assert_eq!(mmu4.stats().pages_allocated, 4096);
-        assert!(mmu2.stats().walks < mmu4.stats().walks / 100);
+        // Stride through 16 MiB; count allocations and walks.
+        let sweep = |mmu: &mut NativeMmu| {
+            let events: Vec<MmuEvents> =
+                (0..(16 << 20)).step_by(4096).map(|addr| mmu.translate(addr).events).collect();
+            let allocated = events.iter().filter(|e| e.allocated).count();
+            let walks = events.iter().filter(|e| !e.l1_tlb_hit && !e.l2_tlb_hit).count();
+            (allocated, walks)
+        };
+        let (allocated4, walks4) = sweep(&mut mmu4);
+        let (allocated2, walks2) = sweep(&mut mmu2);
+        assert_eq!((allocated2, allocated4), (8, 4096));
+        assert!(walks2 < walks4 / 100);
     }
 
     #[test]
@@ -354,15 +302,5 @@ mod tests {
         assert_eq!(a, b);
         let c = mmu.translate(0x2234);
         assert_ne!(a >> 12, c >> 12);
-    }
-
-    #[test]
-    fn flush_forces_a_rewalk() {
-        let mut mmu = NativeMmu::new(PageSize::Kb4, 1 << 20);
-        mmu.translate(0x1000);
-        mmu.flush_tlbs();
-        let t = mmu.translate(0x1000);
-        assert!(!t.events.l1_tlb_hit && !t.events.l2_tlb_hit);
-        assert!(!t.events.walk_accesses.is_empty());
     }
 }

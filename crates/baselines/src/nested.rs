@@ -16,21 +16,6 @@ use crate::alloc::FrameAlloc;
 use crate::mmu::{MmuEvents, MmuTranslation, PageWalkCache, TlbHierarchy};
 use crate::page_table::{PageSize, PageTable};
 
-/// Statistics for the nested MMU.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NestedStats {
-    /// Translations requested.
-    pub translations: u64,
-    /// TLB hits (combined gVA→hPA).
-    pub tlb_hits: u64,
-    /// Two-dimensional walks performed.
-    pub walks: u64,
-    /// Total memory accesses issued by 2D walks.
-    pub walk_accesses: u64,
-    /// Host-walk legs skipped thanks to the nested TLB.
-    pub nested_tlb_hits: u64,
-}
-
 /// A virtualized MMU: guest and host page tables plus the combined TLB
 /// hierarchy — the paper's `Virtual` and `Virtual-2M` baselines.
 ///
@@ -61,7 +46,6 @@ pub struct NestedMmu {
     /// Nested TLB: gPA page → host frame, used for guest-table accesses.
     nested_tlb: Tlb<u64, u64>,
     page_size: PageSize,
-    stats: NestedStats,
 }
 
 impl NestedMmu {
@@ -84,13 +68,7 @@ impl NestedMmu {
             host_pwc: PageWalkCache::new(),
             nested_tlb: Tlb::fully_associative(32),
             page_size,
-            stats: NestedStats::default(),
         }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> NestedStats {
-        self.stats
     }
 
     /// Translates a gPA to an hPA, appending the host-walk accesses to
@@ -100,7 +78,6 @@ impl NestedMmu {
         let gpn = gpa >> self.page_size.bits();
         if for_table {
             if let Some(hframe) = self.nested_tlb.lookup(&gpn) {
-                self.stats.nested_tlb_hits += 1;
                 return (hframe << 12) + (gpa & (self.page_size.bytes() - 1));
             }
         }
@@ -124,12 +101,10 @@ impl NestedMmu {
 
     /// Translates a guest virtual address to a host physical address.
     pub fn translate(&mut self, gva: u64) -> MmuTranslation {
-        self.stats.translations += 1;
         let vpn = gva >> self.page_size.bits();
         let offset = gva & (self.page_size.bytes() - 1);
 
         if let Some((hframe, l1)) = self.tlbs.lookup(vpn) {
-            self.stats.tlb_hits += 1;
             return MmuTranslation {
                 paddr: (hframe << 12) + offset,
                 events: MmuEvents { l1_tlb_hit: l1, l2_tlb_hit: !l1, ..Default::default() },
@@ -137,7 +112,6 @@ impl NestedMmu {
         }
 
         // Two-dimensional walk.
-        self.stats.walks += 1;
         let mut accesses = Vec::new();
 
         // Ensure the guest mapping exists (guest demand paging, costless:
@@ -163,19 +137,11 @@ impl NestedMmu {
         let gpa = (guest_walk.frame.expect("guest mapped above") << 12) + offset;
         let hpa = self.host_translate(gpa, &mut accesses, false);
 
-        self.stats.walk_accesses += accesses.len() as u64;
         self.tlbs.insert(vpn, hpa >> 12);
         MmuTranslation {
             paddr: hpa,
             events: MmuEvents { walk_accesses: accesses, allocated, ..Default::default() },
         }
-    }
-
-    /// Flushes all TLBs and walk caches.
-    pub fn flush_tlbs(&mut self) {
-        self.tlbs.flush();
-        self.host_pwc.flush();
-        self.nested_tlb.flush();
     }
 }
 
@@ -201,7 +167,6 @@ mod tests {
         let cold = mmu.translate(0x1000_0000).events.walk_accesses.len();
         // A neighbouring page misses the TLB but reuses guest-table pages
         // via the nested TLB and host PWC.
-        mmu.tlbs.flush(); // force a walk without clearing walk caches
         let warm = mmu.translate(0x1000_1000).events.walk_accesses.len();
         assert!(warm < cold, "warm {warm} vs cold {cold}");
     }
@@ -228,7 +193,7 @@ mod tests {
     fn translations_are_stable() {
         let mut mmu = NestedMmu::new(PageSize::Mb2, 1 << 20);
         let a = mmu.translate(0x12_3456);
-        mmu.flush_tlbs();
+        mmu.tlbs = TlbHierarchy::new(PageSize::Mb2); // force a second walk
         let b = mmu.translate(0x12_3456);
         assert_eq!(a.paddr, b.paddr);
     }

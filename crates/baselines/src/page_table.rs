@@ -40,11 +40,6 @@ impl PageSize {
             PageSize::Mb2 => 3,
         }
     }
-
-    /// Frames per page.
-    pub const fn frames(self) -> u64 {
-        self.bytes() >> 12
-    }
 }
 
 /// One step of a page walk: the table level (0 = root/PML4) and the physical
@@ -111,11 +106,6 @@ impl PageTable {
     pub fn new(page_size: PageSize, frames: &mut FrameAlloc) -> Self {
         let root_frame = frames.frame();
         Self { page_size, root: Box::new(PtNode::new(root_frame << 12, false)) }
-    }
-
-    /// The table's page size.
-    pub fn page_size(&self) -> PageSize {
-        self.page_size
     }
 
     fn index_at(&self, vaddr: u64, level: u32) -> usize {

@@ -10,7 +10,7 @@
 //! (tag `BENCH_migration`) so future PRs can track the trajectory. It is
 //! the one host-throughput sweep outside the `perf` benchmark, which has no
 //! sharded workload yet; it retires into that workload's rows (ROADMAP
-//! item 5(b)).
+//! item 7(b)).
 //!
 //! Run with `cargo bench -p vbi-bench --bench migration`; set
 //! `VBI_MIGRATION_READS` to change the per-reader load count (default

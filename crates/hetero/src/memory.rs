@@ -157,11 +157,6 @@ impl HeteroMemory {
         }
     }
 
-    /// Fast-region capacity in bytes.
-    pub fn fast_bytes(&self) -> u64 {
-        self.fast_bytes
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> HeteroStats {
         self.stats

@@ -19,18 +19,6 @@ pub struct CacheStats {
     pub dirty_evictions: u64,
 }
 
-impl CacheStats {
-    /// Miss rate in `[0, 1]`; 0.0 for an untouched cache.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
@@ -152,47 +140,9 @@ impl Cache {
         self.sets[set].iter().any(|l| l.tag == tag)
     }
 
-    /// Invalidates one line, returning whether it was dirty.
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (set, tag) = self.split(addr);
-        let pos = self.sets[set].iter().position(|l| l.tag == tag)?;
-        Some(self.sets[set].swap_remove(pos).dirty)
-    }
-
-    /// Invalidates every line whose address satisfies `predicate` (e.g. all
-    /// lines of a disabled VB). Returns the dirty line addresses dropped.
-    pub fn invalidate_matching(&mut self, mut predicate: impl FnMut(u64) -> bool) -> Vec<u64> {
-        let mut dirty = Vec::new();
-        let set_bits = self.set_bits;
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            set.retain(|l| {
-                let addr = ((l.tag << set_bits) | set_idx as u64) * LINE_BYTES;
-                if predicate(addr) {
-                    if l.dirty {
-                        dirty.push(addr);
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        dirty
-    }
-
-    /// Drops every line (returns dirty line addresses).
-    pub fn flush(&mut self) -> Vec<u64> {
-        self.invalidate_matching(|_| true)
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics without flushing contents (warm-up boundary).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -260,30 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_matching_selects_by_address() {
-        let mut c = Cache::new(4 << 10, 4);
-        c.access(0x0000, true);
-        c.access(0x8000, true);
-        c.access(0x8040, false);
-        let dirty = c.invalidate_matching(|addr| addr >= 0x8000);
-        assert_eq!(dirty, vec![0x8000]);
-        assert!(c.probe(0x0000));
-        assert!(!c.probe(0x8040));
-    }
-
-    #[test]
-    fn flush_returns_all_dirty_lines() {
-        let mut c = Cache::new(4 << 10, 4);
-        c.access(0, true);
-        c.access(64, false);
-        c.access(128, true);
-        let mut dirty = c.flush();
-        dirty.sort_unstable();
-        assert_eq!(dirty, vec![0, 128]);
-        assert!(!c.probe(0));
-    }
-
-    #[test]
     fn stats_track_rates() {
         let mut c = Cache::new(4 << 10, 4);
         c.access(0, false);
@@ -292,7 +218,6 @@ mod tests {
         c.access(64, false);
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.stats().misses, 2);
-        assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

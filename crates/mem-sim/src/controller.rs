@@ -1,6 +1,6 @@
 //! Memory controllers: homogeneous and hybrid (PCM-DRAM) back ends.
 
-use crate::dram::{AddressMapping, Device, DeviceStats, TlDram};
+use crate::dram::{AddressMapping, Device, TlDram};
 use crate::timing::DeviceTiming;
 
 /// A single-device memory controller (the Table 1 configuration: one
@@ -27,16 +27,6 @@ impl MemoryController {
     /// Serves one line request, returning latency in CPU cycles.
     pub fn service(&mut self, addr: u64) -> u64 {
         self.overhead + self.device.access(addr)
-    }
-
-    /// Device statistics.
-    pub fn stats(&self) -> DeviceStats {
-        self.device.stats()
-    }
-
-    /// Resets device state and statistics.
-    pub fn reset(&mut self) {
-        self.device.reset();
     }
 }
 
@@ -85,11 +75,6 @@ impl HybridMemory {
         }
     }
 
-    /// Size of the DRAM (fast) region in bytes.
-    pub fn dram_bytes(&self) -> u64 {
-        self.dram_bytes
-    }
-
     /// The region an address belongs to.
     pub fn region_of(&self, addr: u64) -> HybridRegion {
         if addr < self.dram_bytes {
@@ -107,22 +92,6 @@ impl HybridMemory {
                 HybridRegion::Pcm => self.pcm.access(addr - self.dram_bytes),
             }
     }
-
-    /// DRAM-region statistics.
-    pub fn dram_stats(&self) -> DeviceStats {
-        self.dram.stats()
-    }
-
-    /// PCM-region statistics.
-    pub fn pcm_stats(&self) -> DeviceStats {
-        self.pcm.stats()
-    }
-
-    /// Resets both devices.
-    pub fn reset(&mut self) {
-        self.dram.reset();
-        self.pcm.reset();
-    }
 }
 
 /// A TL-DRAM main memory controller (§7.3).
@@ -139,11 +108,6 @@ impl TlDramController {
         Self { device: TlDram::new(near_bytes), overhead: 10 }
     }
 
-    /// Size of the near segment in bytes.
-    pub fn near_bytes(&self) -> u64 {
-        self.device.near_bytes()
-    }
-
     /// Whether an address is in the near segment.
     pub fn is_near(&self, addr: u64) -> bool {
         self.device.is_near(addr)
@@ -152,16 +116,6 @@ impl TlDramController {
     /// Serves one line request.
     pub fn service(&mut self, addr: u64) -> u64 {
         self.overhead + self.device.access(addr)
-    }
-
-    /// Underlying device (for statistics).
-    pub fn device(&self) -> &TlDram {
-        &self.device
-    }
-
-    /// Resets the device.
-    pub fn reset(&mut self) {
-        self.device.reset();
     }
 }
 
@@ -181,8 +135,10 @@ mod tests {
         let mut m = HybridMemory::new(1 << 20);
         m.service(0);
         m.service(2 << 20);
-        assert_eq!(m.dram_stats().accesses, 1);
-        assert_eq!(m.pcm_stats().accesses, 1);
+        // Each device opened its own row: the next line of each region is a
+        // row hit at that device's timing.
+        assert_eq!(m.service(64), 10 + DeviceTiming::ddr3_1600().row_hit_cycles());
+        assert_eq!(m.service((2 << 20) + 64), 10 + DeviceTiming::pcm_800().row_hit_cycles());
     }
 
     #[test]
@@ -200,15 +156,6 @@ mod tests {
         let near = t.service(0);
         let far = t.service(4 << 20);
         assert!(near < far);
-        assert_eq!(t.device().near_stats().accesses, 1);
-        assert_eq!(t.device().far_stats().accesses, 1);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = HybridMemory::new(1 << 20);
-        m.service(0);
-        m.reset();
-        assert_eq!(m.dram_stats().accesses, 0);
+        assert!(t.is_near(0) && !t.is_near(4 << 20));
     }
 }

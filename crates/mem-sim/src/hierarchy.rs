@@ -117,27 +117,9 @@ impl CacheHierarchy {
         HierarchyAccess { level: HitLevel::Memory, latency: t.l1 + t.l2 + t.llc, llc_writebacks }
     }
 
-    /// Invalidates every line matching `predicate` at all levels, returning
-    /// dirty line addresses (disable_vb's lazy cache cleanup, §4.2.4).
-    pub fn invalidate_matching(&mut self, mut predicate: impl FnMut(u64) -> bool) -> Vec<u64> {
-        let mut dirty = self.l1.invalidate_matching(&mut predicate);
-        dirty.extend(self.l2.invalidate_matching(&mut predicate));
-        dirty.extend(self.llc.invalidate_matching(&mut predicate));
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
-    }
-
     /// Per-level statistics `(l1, l2, llc)`.
     pub fn stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         (self.l1.stats(), self.l2.stats(), self.llc.stats())
-    }
-
-    /// Resets statistics at every level.
-    pub fn reset_stats(&mut self) {
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
     }
 }
 
@@ -183,16 +165,6 @@ mod tests {
             writebacks.extend(h.access(k * 512, true).llc_writebacks);
         }
         assert!(writebacks.contains(&0), "dirty line 0 must eventually leave the LLC");
-    }
-
-    #[test]
-    fn invalidate_matching_cleans_all_levels() {
-        let mut h = CacheHierarchy::per_core_default();
-        h.access(0x1000, true);
-        h.access(0x2000, false);
-        let dirty = h.invalidate_matching(|a| a < 0x2000);
-        assert_eq!(dirty, vec![0x1000]);
-        assert_eq!(h.access(0x1000, false).level, HitLevel::Memory);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use vbi_workloads::trace::WorkloadSpec;
 
-use crate::systems::{build_system, MemorySystem, SystemCounters, SystemKind};
+use crate::systems::{build_system, SystemCounters, SystemKind};
 
 /// Issue width of the modelled core (Table 1: 4-wide OOO).
 pub const ISSUE_WIDTH: u64 = 4;
@@ -72,17 +72,6 @@ impl RunResult {
 /// Runs `spec` on `system_kind` and returns the result.
 pub fn run(system_kind: SystemKind, spec: &WorkloadSpec, config: &EngineConfig) -> RunResult {
     let mut system = build_system(system_kind, config.phys_frames);
-    run_on(system.as_mut(), system_kind, spec, config)
-}
-
-/// Runs `spec` on an existing system (used by ablations that pre-configure
-/// the system).
-pub fn run_on(
-    system: &mut dyn MemorySystem,
-    system_kind: SystemKind,
-    spec: &WorkloadSpec,
-    config: &EngineConfig,
-) -> RunResult {
     let sizes: Vec<u64> = spec.regions.iter().map(|r| r.bytes).collect();
     system.attach_regions(&sizes);
 
@@ -121,10 +110,9 @@ pub fn run_on(
         instructions += access.gap as u64 + 1;
         cycles_x4 += access.gap as u64;
 
-        let cost = system.access(access.region, access.offset, access.is_write);
+        let stall = system.access(access.region, access.offset, access.is_write) as f64;
         // Independent misses overlap in the ROB; dependent ones serialize.
-        let exposed =
-            if access.dependent { cost.stall as f64 } else { cost.stall as f64 / spec.mlp };
+        let exposed = if access.dependent { stall } else { stall / spec.mlp };
         cycles_x4 += (exposed * 4.0) as u64;
     }
 

@@ -39,4 +39,4 @@ pub use engine::{run, EngineConfig, RunResult};
 pub use hetero_run::{run_hetero, HeteroRunResult};
 pub use multicore::{run_alone_native, run_bundle, BundleResult};
 pub use report::{geomean, mean, SpeedupTable};
-pub use systems::{build_system, AccessCost, MemorySystem, SystemKind};
+pub use systems::{build_system, Machine, SystemKind};

@@ -12,7 +12,7 @@
 use vbi_workloads::trace::WorkloadSpec;
 
 use crate::engine::{run, EngineConfig, RunResult};
-use crate::systems::{build_system, SystemKind};
+use crate::systems::SystemKind;
 
 /// Result of one quad-core bundle run.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ impl BundleResult {
 /// Runs a four-app bundle on `system_kind` with interleaved accesses and a
 /// shared memory system per core group.
 ///
-/// Each app gets its own [`crate::systems::MemorySystem`] (private caches
+/// Each app gets its own [`crate::systems::Machine`] (private caches
 /// and translation state — the paper's LLC is 2 MiB *per core*), while
 /// contention is modelled through the per-app engine running on a quarter
 /// of the simulated window. This captures the first-order effect the
@@ -73,15 +73,6 @@ pub fn run_alone_native(apps: &[WorkloadSpec], config: &EngineConfig) -> Vec<Run
             run(SystemKind::Native, spec, &cfg)
         })
         .collect()
-}
-
-/// Builds a standalone system for ad-hoc experiments (re-exported for the
-/// bench harness).
-pub fn standalone(
-    system_kind: SystemKind,
-    phys_frames: u64,
-) -> Box<dyn crate::systems::MemorySystem> {
-    build_system(system_kind, phys_frames)
 }
 
 #[cfg(test)]

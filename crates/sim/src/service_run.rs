@@ -15,7 +15,7 @@
 //!   bench in `vbi-bench`. It is the one host-throughput sweep left
 //!   outside the `perf` benchmark (`BENCHMARK.json`), which has no sharded
 //!   workload yet; it retires into that workload's rows when it lands
-//!   (ROADMAP item 5(b)).
+//!   (ROADMAP item 7(b)).
 //!
 //! Host throughput and latency of every front end — `System`,
 //! `VbiService` (`execute` and `submit`), `VbiQueue`, `AsyncSession` —

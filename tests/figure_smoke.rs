@@ -79,11 +79,21 @@ fn every_benchmark_runs_on_every_system_briefly() {
     // product at full length runs in release in CI's `figures` job
     // (`run_all`: fig6 is 14 benchmarks x 7 systems, fig7 8 x 5). The VBI
     // column is three quarters of what is left, so it gets a thread of its
-    // own.
+    // own. Every cell's counts are pinned in `PINS`.
     let cfg = EngineConfig { accesses: 400, warmup: 50, seed: 7, phys_frames: 1 << 19 };
     let check = |name: &str, kind: SystemKind| {
         let r = run(kind, &benchmark(name).unwrap(), &cfg);
-        assert!(r.cycles > 0 && r.instructions > 0, "{name} on {}", kind.label());
+        let c = r.counters;
+        let got = [
+            r.cycles,
+            c.tlb_misses,
+            c.llc_misses,
+            c.dram_accesses,
+            c.translation_accesses,
+            c.zero_lines,
+        ];
+        let pin = PINS.iter().find(|(n, s, _)| *n == name && *s == kind.label());
+        assert_eq!(Some(got), pin.map(|p| p.2), "{name} on {}", kind.label());
     };
     std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -111,3 +121,65 @@ fn determinism_across_systems_shares_the_trace() {
     let b = run(SystemKind::VbiFull, &spec, &tiny());
     assert_eq!(a.instructions, b.instructions);
 }
+
+/// The sweep's 52 distinct cells (58 runs; the three small benchmarks also
+/// run on `VBI-Full` and `Native-2M` in the covering sweeps), each as
+/// `(benchmark, system, [cycles, tlb_misses, llc_misses, dram_accesses,
+/// translation_accesses, zero_lines])`. These are the figures' own counters
+/// at a miniature length: a change that moves one moves a figure, so it
+/// regenerates this table and says why.
+#[rustfmt::skip]
+const PINS: [(&str, &str, [u64; 6]); 52] = [
+    ("astar", "VBI-Full", [33760, 0, 400, 268, 0, 137]),
+    ("bzip2", "VBI-Full", [17106, 0, 400, 404, 0, 0]),
+    ("GemsFDTD", "VBI-Full", [5882, 0, 400, 56, 310, 355]),
+    ("mcf", "VBI-Full", [22774, 0, 394, 87, 0, 313]),
+    ("milc", "VBI-Full", [12750, 0, 400, 579, 0, 0]),
+    ("namd", "VBI-Full", [12235, 0, 398, 406, 0, 0]),
+    ("sjeng", "VBI-Full", [8267, 0, 393, 23, 0, 370]),
+    ("bwaves-17", "VBI-Full", [8062, 0, 400, 562, 0, 0]),
+    ("deepsjeng-17", "VBI-Full", [14600, 0, 400, 132, 0, 271]),
+    ("lbm-17", "VBI-Full", [4157, 0, 400, 404, 0, 0]),
+    ("omnetpp-17", "VBI-Full", [29028, 0, 400, 275, 0, 130]),
+    ("img-dnn", "VBI-Full", [7953, 0, 399, 363, 0, 42]),
+    ("moses", "VBI-Full", [38445, 0, 400, 302, 273, 100]),
+    ("Graph 500", "VBI-Full", [13843, 0, 400, 291, 315, 114]),
+    ("astar", "Native-2M", [40881, 223, 400, 405, 0, 0]),
+    ("bzip2", "Native-2M", [17418, 151, 400, 404, 0, 0]),
+    ("GemsFDTD", "Native-2M", [13618, 319, 400, 410, 27, 0]),
+    ("mcf", "Native-2M", [50836, 350, 394, 400, 61, 0]),
+    ("milc", "Native-2M", [12712, 0, 400, 579, 0, 0]),
+    ("namd", "Native-2M", [12348, 0, 398, 406, 0, 0]),
+    ("sjeng", "Native-2M", [20887, 0, 393, 393, 0, 0]),
+    ("bwaves-17", "Native-2M", [8005, 1, 400, 562, 0, 0]),
+    ("deepsjeng-17", "Native-2M", [27024, 234, 400, 403, 2, 0]),
+    ("lbm-17", "Native-2M", [4801, 0, 400, 404, 0, 0]),
+    ("omnetpp-17", "Native-2M", [41131, 186, 400, 405, 0, 0]),
+    ("img-dnn", "Native-2M", [8777, 0, 399, 405, 0, 0]),
+    ("moses", "Native-2M", [43122, 245, 400, 402, 3, 0]),
+    ("Graph 500", "Native-2M", [14864, 258, 400, 405, 26, 0]),
+    ("sjeng", "Native", [21040, 368, 393, 393, 242, 0]),
+    ("sjeng", "Virtual", [23732, 368, 393, 393, 1210, 0]),
+    ("sjeng", "Virtual-2M", [20847, 0, 393, 393, 0, 0]),
+    ("sjeng", "Perfect TLB", [19427, 0, 393, 393, 0, 0]),
+    ("sjeng", "VIVT", [19934, 361, 393, 393, 267, 0]),
+    ("sjeng", "Enigma-HW-2M", [20887, 0, 393, 393, 0, 0]),
+    ("sjeng", "VBI-1", [19854, 0, 393, 393, 430, 0]),
+    ("sjeng", "VBI-2", [9003, 0, 393, 23, 593, 370]),
+    ("namd", "Native", [12770, 264, 398, 406, 226, 0]),
+    ("namd", "Virtual", [14050, 264, 398, 406, 1130, 0]),
+    ("namd", "Virtual-2M", [12260, 0, 398, 406, 0, 0]),
+    ("namd", "Perfect TLB", [12323, 0, 398, 406, 0, 0]),
+    ("namd", "VIVT", [12334, 272, 398, 406, 234, 0]),
+    ("namd", "Enigma-HW-2M", [12348, 0, 398, 406, 0, 0]),
+    ("namd", "VBI-1", [12235, 0, 398, 406, 466, 0]),
+    ("namd", "VBI-2", [12323, 0, 398, 406, 465, 0]),
+    ("deepsjeng-17", "Native", [29582, 400, 400, 403, 621, 0]),
+    ("deepsjeng-17", "Virtual", [37244, 400, 400, 403, 2170, 0]),
+    ("deepsjeng-17", "Virtual-2M", [27135, 234, 400, 403, 8, 0]),
+    ("deepsjeng-17", "Perfect TLB", [22992, 0, 400, 403, 0, 0]),
+    ("deepsjeng-17", "VIVT", [25075, 403, 400, 403, 609, 0]),
+    ("deepsjeng-17", "Enigma-HW-2M", [26142, 0, 400, 403, 0, 0]),
+    ("deepsjeng-17", "VBI-1", [32132, 0, 400, 403, 674, 0]),
+    ("deepsjeng-17", "VBI-2", [23365, 0, 400, 132, 639, 271]),
+];
