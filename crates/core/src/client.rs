@@ -309,10 +309,9 @@ impl Cvt {
     }
 }
 
-/// Allocates and recycles the system's 16-bit client IDs.
-///
-/// IDs can be constrained to a sub-range, which is how VBI partitions client
-/// IDs among virtual machines (§6.1).
+/// Allocates and recycles the system's 16-bit client IDs within one VM's
+/// sub-range, which is how VBI partitions client IDs among virtual machines
+/// (§6.1; see [`crate::vm::VmPartition::client_ids`]).
 #[derive(Debug, Clone)]
 pub struct ClientIdAllocator {
     next: u32,
@@ -321,11 +320,6 @@ pub struct ClientIdAllocator {
 }
 
 impl ClientIdAllocator {
-    /// Allocator over the full 16-bit space.
-    pub fn new() -> Self {
-        Self::with_range(0, 1 << 16)
-    }
-
     /// Allocator over `[start, end)`.
     ///
     /// # Panics
@@ -364,12 +358,6 @@ impl ClientIdAllocator {
     }
 }
 
-impl Default for ClientIdAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,6 +365,11 @@ mod tests {
 
     fn vb(vbid: u64) -> Vbuid {
         Vbuid::new(SizeClass::Kib128, vbid)
+    }
+
+    #[test]
+    fn client_id_display() {
+        assert_eq!(ClientId(2).to_string(), "client#2");
     }
 
     #[test]

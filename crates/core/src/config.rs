@@ -1,6 +1,7 @@
 //! Configuration for the VBI reference implementation.
 
 use crate::phys::FRAME_BYTES;
+use crate::vm::VmPartition;
 
 /// Sizes and policy knobs for an MTL + processor-side VBI instance.
 ///
@@ -37,7 +38,8 @@ pub struct VbiConfig {
     /// VBI-Full).
     pub early_reservation: bool,
     /// Bits of the VBID reserved for virtual-machine IDs (§6.1); 0 disables
-    /// VM partitioning, 5 supports 31 VMs + host as in Figure 5.
+    /// VM partitioning, 5 supports 31 VMs + host as in Figure 5. The engine
+    /// places every VB inside its VM's slice ([`VbiConfig::vm_partition`]).
     pub vm_id_bits: u32,
     /// Record per-op counters and latency histograms at `execute`
     /// boundaries (the [`crate::telemetry`] metrics registry). Cheap —
@@ -89,6 +91,12 @@ impl VbiConfig {
     /// Physical memory size in bytes.
     pub fn phys_bytes(&self) -> u64 {
         self.phys_frames * FRAME_BYTES
+    }
+
+    /// The §6.1 partition of VBIDs and client IDs among VMs that
+    /// `vm_id_bits` describes.
+    pub fn vm_partition(&self) -> VmPartition {
+        VmPartition::new(self.vm_id_bits)
     }
 }
 

@@ -59,7 +59,6 @@
 //! | [`stats`] | §7.2 | MTL counters, mergeable across shards |
 //! | [`os`] | §3.4, §4.4 | OS model: processes, fork, shared libraries, mmap |
 //! | [`vm`] | §6.1 | virtual-machine partitioning of the VBI space |
-//! | [`isa`] | §4 | the six VBI instructions as typed operations |
 //!
 //! All of the above is single-owner state. The concurrent, sharded memory
 //! service built on top — per-shard MTLs ([`Mtl::for_shard`]) behind locks,
@@ -75,7 +74,6 @@ pub mod config;
 pub mod cvt_cache;
 pub mod error;
 pub mod frame_cache;
-pub mod isa;
 pub mod mtl;
 pub mod ops;
 pub mod os;

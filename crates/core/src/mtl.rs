@@ -38,6 +38,7 @@ use crate::tlb::Tlb;
 use crate::translate::{PageEntry, SwapSlot, TranslationKind, TranslationStructure, WalkOutcome};
 use crate::vb::VbProperties;
 use crate::vit::VbInfoTables;
+use crate::vm::VmId;
 
 /// The kind of request reaching the MTL. Under VBI the memory controller
 /// sees only LLC miss fills (`Read`) and dirty-line writebacks (`Writeback`);
@@ -107,9 +108,10 @@ struct SweepPass {
 /// use vbi_core::config::VbiConfig;
 /// use vbi_core::mtl::Mtl;
 /// use vbi_core::vb::VbProperties;
+/// use vbi_core::vm::VmId;
 ///
 /// let mut mtl = Mtl::new(VbiConfig::vbi_full());
-/// let vb = mtl.find_free_vb(SizeClass::Kib128)?;
+/// let vb = mtl.find_free_vb(SizeClass::Kib128, VmId::HOST)?;
 /// mtl.enable_vb(vb, VbProperties::NONE)?;
 /// mtl.write_u64(vb.address(0x40)?, 99)?;
 /// assert_eq!(mtl.read_u64(vb.address(0x40)?)?, 99);
@@ -323,18 +325,21 @@ impl Mtl {
 
     // --- VB lifecycle -------------------------------------------------------
 
-    /// Scans the VITs for a free VB of `size_class` (the OS side of
-    /// `request_vb`, §4.2). A sharded MTL ([`Mtl::for_shard`]) only returns
-    /// VBs homed on its own VBID slice.
+    /// Scans the VITs for a free VB of `size_class` in `vm`'s VBID slice
+    /// (the OS side of `request_vb`, §4.2; §6.1's slice is the whole class
+    /// when [`VbiConfig::vm_id_bits`] is 0). A sharded MTL
+    /// ([`Mtl::for_shard`]) only returns VBs homed on its own VBID slice, so
+    /// the VB lies in both.
     ///
     /// # Errors
     ///
-    /// Returns [`VbiError::OutOfVirtualBlocks`] when the class (or this
-    /// shard's slice of it) is exhausted.
-    pub fn find_free_vb(&self, size_class: SizeClass) -> Result<Vbuid> {
+    /// Returns [`VbiError::OutOfVirtualBlocks`] when the class (or the
+    /// VM's and this shard's slice of it) is exhausted.
+    pub fn find_free_vb(&self, size_class: SizeClass, vm: VmId) -> Result<Vbuid> {
         let slice = size_class.vb_count() >> self.shard_bits;
         let lo = self.shard_index * slice;
-        self.vits.find_free_in(size_class, lo, lo + slice)
+        let in_vm = self.config.vm_partition().vbids(vm, size_class);
+        self.vits.find_free_in(size_class, lo.max(in_vm.start), (lo + slice).min(in_vm.end))
     }
 
     /// Executes `enable_vb VBUID, props` (§4.2): marks the VB enabled in its
@@ -1595,7 +1600,7 @@ mod tests {
     }
 
     fn enabled_vb(mtl: &mut Mtl, sc: SizeClass) -> Vbuid {
-        let vb = mtl.find_free_vb(sc).unwrap();
+        let vb = mtl.find_free_vb(sc, VmId::HOST).unwrap();
         mtl.enable_vb(vb, VbProperties::NONE).unwrap();
         vb
     }
@@ -2064,7 +2069,7 @@ mod tests {
             }
         }
         let free_before = m.free_frames();
-        let dst = m.find_free_vb(SizeClass::Kib128).unwrap();
+        let dst = m.find_free_vb(SizeClass::Kib128, VmId::HOST).unwrap();
         m.enable_vb(dst, VbProperties::NONE).unwrap();
         assert!(matches!(m.clone_vb(src, dst), Err(VbiError::OutOfPhysicalMemory)));
         // The aborted clone changed nothing: the source still reads its
@@ -2090,7 +2095,7 @@ mod tests {
         let free_before = m.free_frames();
         // A 4 MiB destination needs a single-level table — an allocation
         // that must fail on the exhausted machine.
-        let dst = m.find_free_vb(SizeClass::Mib4).unwrap();
+        let dst = m.find_free_vb(SizeClass::Mib4, VmId::HOST).unwrap();
         m.enable_vb(dst, VbProperties::NONE).unwrap();
         assert!(matches!(m.promote_vb(src, dst), Err(VbiError::OutOfPhysicalMemory)));
         assert_eq!(m.read_u64(src.address(8).unwrap()).unwrap(), 31337);
@@ -2122,7 +2127,7 @@ mod tests {
                 let slice = sc.vb_count() / shards as u64;
                 let mut seen = Vec::new();
                 for (i, m) in mtls.iter_mut().enumerate() {
-                    let vb = m.find_free_vb(sc).unwrap();
+                    let vb = m.find_free_vb(sc, VmId::HOST).unwrap();
                     m.enable_vb(vb, VbProperties::NONE).unwrap();
                     assert_eq!(Mtl::shard_of(vb, shards), i, "{vb}");
                     assert!(m.owns(vb));
@@ -2140,8 +2145,8 @@ mod tests {
         let mut a = Mtl::new(small_config(VbiConfig::vbi_full));
         let mut b = Mtl::for_shard(small_config(VbiConfig::vbi_full), 0, 1);
         for _ in 0..3 {
-            let va = a.find_free_vb(SizeClass::Kib128).unwrap();
-            let vb = b.find_free_vb(SizeClass::Kib128).unwrap();
+            let va = a.find_free_vb(SizeClass::Kib128, VmId::HOST).unwrap();
+            let vb = b.find_free_vb(SizeClass::Kib128, VmId::HOST).unwrap();
             assert_eq!(va, vb);
             a.enable_vb(va, VbProperties::NONE).unwrap();
             b.enable_vb(vb, VbProperties::NONE).unwrap();
@@ -2406,7 +2411,7 @@ mod tests {
 
         fn enable(&mut self, size_class: SizeClass, props: VbProperties) -> Vbuid {
             let vb = self.both("enable", |m| {
-                let vb = m.find_free_vb(size_class).unwrap();
+                let vb = m.find_free_vb(size_class, VmId::HOST).unwrap();
                 m.enable_vb(vb, props).unwrap();
                 vb
             });

@@ -61,9 +61,11 @@ use crate::cvt_cache::ClientCvtCache;
 use crate::error::{Result, VbiError};
 use crate::mtl::Mtl;
 use crate::perm::{AccessKind, Rwx};
+use crate::phys::FRAME_BYTES;
 use crate::swap::PressureBackend;
 use crate::telemetry::{OpKind, OpSample, Telemetry, TraceEvent};
 use crate::vb::VbProperties;
+use crate::vm::VmId;
 
 /// A program's handle on an attached VB: the CVT index returned by
 /// `request_vb` plus (for convenience and introspection) the VBUID behind it.
@@ -494,14 +496,15 @@ pub trait OpEnv {
         self.with_home_mtl(vbuid, f)
     }
 
-    /// Finds a free VB of `size_class` and enables it with `props` — the
-    /// placement policy (which MTL shard a new VB lands on) lives here.
+    /// Finds a free VB of `size_class` in `vm`'s VBID slice (§6.1, see
+    /// [`Mtl::find_free_vb`]) and enables it with `props` — the placement
+    /// policy (which MTL shard a new VB lands on) lives here.
     ///
     /// # Errors
     ///
     /// [`VbiError::OutOfVirtualBlocks`] when every eligible MTL slice of
     /// the class is exhausted.
-    fn place_vb(&mut self, size_class: SizeClass, props: VbProperties) -> Result<Vbuid>;
+    fn place_vb(&mut self, vm: VmId, size_class: SizeClass, props: VbProperties) -> Result<Vbuid>;
 
     /// Number of MTL shards the environment routes VBs across (1 for the
     /// single-owner `System`). `Mtl::shard_of(vbuid, shard_count)` names a
@@ -510,19 +513,21 @@ pub trait OpEnv {
         1
     }
 
-    /// Finds a free VB of `size_class` homed on the given `shard` and
-    /// enables it with `props` — the *targeted* placement the remap family
-    /// uses: promotion and cloning stay on the source's shard (their frames
-    /// are shared or moved, never copied), migration names its destination.
+    /// Finds a free VB of `size_class` in `vm`'s VBID slice homed on the
+    /// given `shard` and enables it with `props` — the *targeted* placement
+    /// the remap family uses: promotion and cloning stay on the source's
+    /// shard (their frames are shared or moved, never copied), migration
+    /// names its destination.
     ///
     /// # Errors
     ///
     /// [`VbiError::InvalidShard`] for a shard the machine does not have, or
-    /// [`VbiError::OutOfVirtualBlocks`] when the shard's slice of the class
-    /// is exhausted.
+    /// [`VbiError::OutOfVirtualBlocks`] when the VM's slice of the class on
+    /// that shard is exhausted (or empty).
     fn place_vb_on(
         &mut self,
         shard: usize,
+        vm: VmId,
         size_class: SizeClass,
         props: VbProperties,
     ) -> Result<Vbuid>;
@@ -655,8 +660,9 @@ pub fn destroy_client<E: OpEnv>(env: &mut E, client: ClientId) -> Result<()> {
 }
 
 /// The `request_vb` system call (§4.2): places the smallest free VB that
-/// fits `bytes`, enables it with `props`, attaches the caller with `perms`,
-/// and returns the CVT index as the program's handle.
+/// fits `bytes` in the VM that owns `client`'s ID (§6.1), enables it with
+/// `props`, attaches the caller with `perms`, and returns the CVT index as
+/// the program's handle.
 ///
 /// # Errors
 ///
@@ -671,7 +677,8 @@ pub fn request_vb<E: OpEnv>(
 ) -> Result<VbHandle> {
     let size_class =
         SizeClass::smallest_fitting(bytes).ok_or(VbiError::RequestTooLarge { requested: bytes })?;
-    let vbuid = env.place_vb(size_class, props)?;
+    let vm = env.config().vm_partition().vm_of_client(client);
+    let vbuid = env.place_vb(vm, size_class, props)?;
     match attach(env, client, vbuid, perms) {
         Ok(index) => Ok(VbHandle { cvt_index: index, vbuid }),
         Err(e) => {
@@ -847,6 +854,20 @@ fn finish_remap<E: OpEnv>(env: &mut E, old: Vbuid, new: Vbuid) -> Result<()> {
     })
 }
 
+/// Places the destination of a remap of `src`: a VB of `size_class` on
+/// `shard`, with the source's properties, in the source's VM slice (§6.1) —
+/// a remap never moves a VB out of its VM.
+fn place_destination<E: OpEnv>(
+    env: &mut E,
+    src: Vbuid,
+    shard: usize,
+    size_class: SizeClass,
+) -> Result<Vbuid> {
+    let props = env.with_home_mtl(src, |mtl| mtl.props(src))?;
+    let vm = env.config().vm_partition().vm_of(src);
+    env.place_vb_on(shard, vm, size_class, props)
+}
+
 /// Disables a freshly placed VB again — the rollback when the remap's data
 /// movement or attach fails after placement succeeded.
 fn unplace_vb<E: OpEnv>(env: &mut E, vbuid: Vbuid, err: VbiError) -> VbiError {
@@ -858,9 +879,9 @@ fn unplace_vb<E: OpEnv>(env: &mut E, vbuid: Vbuid, err: VbiError) -> VbiError {
 
 /// Promotes the VB behind `client`'s CVT `index` to the next larger size
 /// class (§4.4): enables a larger VB on the *same* home shard (promotion
-/// moves frames, which never leave their MTL), executes `promote_vb`,
-/// redirects every CVT entry in the system that referenced the old VB, and
-/// disables the old VB. Returns the new handle — same CVT index, so the
+/// moves frames, which never leave their MTL) and in the same VM, executes
+/// `promote_vb`, redirects every CVT entry in the system that referenced the
+/// old VB, and disables the old VB. Returns the new handle — same CVT index, so the
 /// program's pointers stay valid (§4.2.2).
 ///
 /// # Errors
@@ -873,9 +894,7 @@ pub fn promote<E: OpEnv>(env: &mut E, client: ClientId, index: usize) -> Result<
         .size_class()
         .next_larger()
         .ok_or(VbiError::RequestTooLarge { requested: old.bytes() + 1 })?;
-    let props = env.with_home_mtl(old, |mtl| mtl.props(old))?;
-    let home = Mtl::shard_of(old, env.shard_count());
-    let new = env.place_vb_on(home, next, props)?;
+    let new = place_destination(env, old, Mtl::shard_of(old, env.shard_count()), next)?;
     env.with_mtl_pair(old, new, |mtl, pair| {
         debug_assert!(pair.is_none(), "promotion never leaves the home shard");
         mtl.promote_vb(old, new)
@@ -887,9 +906,9 @@ pub fn promote<E: OpEnv>(env: &mut E, client: ClientId, index: usize) -> Result<
 
 /// Clones the VB behind `client`'s CVT `index` (§4.4 `clone_vb`): enables a
 /// same-class VB on the source's home shard (clones *share* frames
-/// copy-on-write, so both must live on one MTL), clones the translation
-/// state, and attaches the clone to `client` with the source entry's
-/// permissions. Returns the clone's handle. The source VB and every other
+/// copy-on-write, so both must live on one MTL) and in its VM, clones the
+/// translation state, and attaches the clone to `client` with the source
+/// entry's permissions. Returns the clone's handle. The source VB and every other
 /// sharer are untouched.
 ///
 /// # Errors
@@ -899,9 +918,7 @@ pub fn promote<E: OpEnv>(env: &mut E, client: ClientId, index: usize) -> Result<
 pub fn clone_vb<E: OpEnv>(env: &mut E, client: ClientId, index: usize) -> Result<VbHandle> {
     let entry = remap_source_entry(env, client, index)?;
     let src = entry.vbuid();
-    let props = env.with_home_mtl(src, |mtl| mtl.props(src))?;
-    let home = Mtl::shard_of(src, env.shard_count());
-    let dst = env.place_vb_on(home, src.size_class(), props)?;
+    let dst = place_destination(env, src, Mtl::shard_of(src, env.shard_count()), src.size_class())?;
     env.with_mtl_pair(src, dst, |mtl, pair| {
         debug_assert!(pair.is_none(), "clones share frames: one home shard");
         mtl.clone_vb(src, dst)
@@ -914,16 +931,17 @@ pub fn clone_vb<E: OpEnv>(env: &mut E, client: ClientId, index: usize) -> Result
 
 /// Migrates the VB behind `client`'s CVT `index` to a fresh VB homed on
 /// `to_shard` (§6.2, the OS's phase-change move): enables a same-class VB
-/// on the destination shard, copies the resident contents under *both*
-/// home MTLs ([`Mtl::migrate_contents`] — taken in shard-index order by the
-/// environment), redirects every CVT entry in the system, and disables the
-/// source, freeing its frames. Returns the new handle — same CVT index,
+/// on the destination shard, in the source's VM slice, copies the resident
+/// contents under *both* home MTLs ([`Mtl::migrate_contents`] — taken in
+/// shard-index order by the environment), redirects every CVT entry in the
+/// system, and disables the source, freeing its frames. Returns the new handle — same CVT index,
 /// new home shard.
 ///
 /// # Errors
 ///
 /// [`VbiError::InvalidShard`] for an out-of-range destination, VB
-/// exhaustion on the destination shard, or any translation error.
+/// exhaustion on the destination shard (a VM's VB moves only among the
+/// shards its VBID slice spans), or any translation error.
 pub fn migrate<E: OpEnv>(
     env: &mut E,
     client: ClientId,
@@ -935,8 +953,7 @@ pub fn migrate<E: OpEnv>(
         return Err(VbiError::InvalidShard { shard: to_shard, shards });
     }
     let old = remap_source_entry(env, client, index)?.vbuid();
-    let props = env.with_home_mtl(old, |mtl| mtl.props(old))?;
-    let new = env.place_vb_on(to_shard, old.size_class(), props)?;
+    let new = place_destination(env, old, to_shard, old.size_class())?;
     env.with_mtl_pair(old, new, |src, dst| Mtl::migrate_contents(src, dst, old, new))
         .map_err(|e| unplace_vb(env, new, e))?;
     finish_remap(env, old, new)?;
@@ -1299,6 +1316,30 @@ pub fn backing_report<E: OpEnv>(
         stored_bytes: b.stored_bytes(),
         tier_cycles: b.tier_cycles(),
     }))
+}
+
+/// Binds `contents` as the swapped-out pages of the VB behind `client`'s
+/// CVT slot `index` (memory-mapped files, §3.4): page `i` of the VB is the
+/// file's `i`-th 4 KiB page, zero-padded, and the first access faults it
+/// in like any swapped page. An OS act, so no permission is checked.
+///
+/// # Errors
+///
+/// [`VbiError::InvalidClient`], [`VbiError::InvalidCvtIndex`], or any
+/// error of [`Mtl::bind_file`].
+pub fn bind_file<E: OpEnv>(
+    env: &mut E,
+    client: ClientId,
+    index: usize,
+    contents: &[u8],
+) -> Result<()> {
+    let vbuid = env.with_client(client, |cvt, _| cvt.entry(index).map(|e| e.vbuid()))??;
+    let pages = contents.chunks(FRAME_BYTES as usize).enumerate().map(|(i, chunk)| {
+        let mut page = Box::new([0u8; FRAME_BYTES as usize]);
+        page[..chunk.len()].copy_from_slice(chunk);
+        (i as u64, page)
+    });
+    env.with_home_mtl(vbuid, |mtl| mtl.bind_file(vbuid, pages))
 }
 
 // --- telemetry boundary -----------------------------------------------------

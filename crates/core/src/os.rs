@@ -5,7 +5,8 @@
 //! VB) and *policy* (loading binaries, forking, shared libraries,
 //! memory-mapped files). This module implements those duties against
 //! [`System`], holding one [`ClientSession`] per process (plus its own
-//! privileged session for loading):
+//! privileged session for loading). Everything it does to the machine goes
+//! through the engine ([`crate::ops`]), never around it to the MTL:
 //!
 //! * **Process creation** — one VB per binary section, loaded by the OS
 //!   attaching itself with write permission, copying, and detaching.
@@ -14,10 +15,13 @@
 //!   library code addresses it with `+1` CVT-relative addressing and no
 //!   load-time relocation.
 //! * **Fork** — the child's CVT mirrors the parent's indices (pointers stay
-//!   valid); private VBs are cloned copy-on-write with `clone_vb`.
+//!   valid); each private VB is cloned copy-on-write by the OS's own
+//!   session (`attach`, `clone_vb`, then `attach_at` into the child), so
+//!   the parent's CVT is never touched.
 //! * **Heap** — `malloc`/`free` manage offsets inside a data VB; when a VB
 //!   fills up, the OS transparently promotes it to the next size class.
-//! * **Memory-mapped files** — a file is associated with a VB of its size;
+//! * **Memory-mapped files** — a file is associated with a VB of its size,
+//!   its pages bound as swapped-out contents ([`System::bind_file`]);
 //!   offsets map 1:1 (§3.4).
 
 use std::collections::HashMap;
@@ -206,7 +210,7 @@ impl Os {
         }
     }
 
-    /// The underlying system (for inspection and direct MTL access).
+    /// The underlying system, for inspection (stats, CVTs, snapshots).
     pub fn system(&self) -> &System {
         &self.system
     }
@@ -341,7 +345,8 @@ impl Os {
 
     /// Forks a process (§4.4): the child's CVT mirrors the parent's indices;
     /// shared VBs are re-attached, private VBs are cloned copy-on-write via
-    /// `clone_vb`. Returns the child PID.
+    /// `clone_vb` — one [`crate::Op::CloneVb`] each, staged through the OS's
+    /// session. Returns the child PID.
     ///
     /// # Errors
     ///
@@ -370,13 +375,14 @@ impl Os {
                 // same VB at the same index.
                 child.attach_at(index, vbuid, perms)?;
             } else {
-                // Private VB: enable a clone of the same size class and
-                // attach it at the same index so pointers stay valid.
-                let clone = self.system.mtl().find_free_vb(vbuid.size_class())?;
-                let props = self.system.mtl().props(vbuid)?;
-                self.system.mtl_mut().enable_vb(clone, props)?;
-                self.system.mtl_mut().clone_vb(vbuid, clone)?;
+                // Private VB: the OS attaches itself, clones, and hands the
+                // clone to the child at the same index so pointers stay
+                // valid; then the OS lets go of both.
+                let source = self.os_session.attach(vbuid, perms)?;
+                let clone = self.os_session.clone_vb(source)?.vbuid;
                 child.attach_at(index, clone, perms)?;
+                self.os_session.detach(vbuid)?;
+                self.os_session.detach(clone)?;
                 if parent.sections.iter().any(|s| s.cvt_index == index) {
                     child_sections.push(VbHandle { cvt_index: index, vbuid: clone });
                 }
@@ -496,17 +502,10 @@ impl Os {
     ///
     /// Any allocation or attach error.
     pub fn mmap_file(&mut self, pid: Pid, contents: &[u8], perms: Rwx) -> Result<VbHandle> {
-        let handle = self.process(pid)?.session().request_vb(
-            (contents.len() as u64).max(1),
-            VbProperties::FILE_BACKED,
-            perms,
-        )?;
-        let pages = contents.chunks(FRAME_BYTES as usize).enumerate().map(|(i, chunk)| {
-            let mut page = Box::new([0u8; FRAME_BYTES as usize]);
-            page[..chunk.len()].copy_from_slice(chunk);
-            (i as u64, page)
-        });
-        self.system.mtl_mut().bind_file(handle.vbuid, pages)?;
+        let session = self.process(pid)?.session();
+        let handle =
+            session.request_vb((contents.len() as u64).max(1), VbProperties::FILE_BACKED, perms)?;
+        self.system.bind_file(session.id(), handle.cvt_index, contents)?;
         Ok(handle)
     }
 
@@ -535,6 +534,7 @@ mod tests {
     use super::*;
     use crate::addr::SizeClass;
     use crate::config::VbiConfig;
+    use crate::telemetry::OpKind;
 
     fn os() -> Os {
         Os::new(VbiConfig { phys_frames: 8192, ..VbiConfig::vbi_full() })
@@ -641,6 +641,38 @@ mod tests {
         cs.store_u64(heap.at(0), 5678).unwrap();
         assert_eq!(ps.load_u64(heap.at(0)).unwrap(), 1234);
         assert_eq!(cs.load_u64(heap.at(0)).unwrap(), 5678);
+    }
+
+    #[test]
+    fn fork_is_one_clone_op_per_private_vb() {
+        let mut os = os();
+        os.register_library(LibraryImage {
+            name: "libc".into(),
+            code: vec![0xbb; 32],
+            static_data: vec![0; 8],
+        })
+        .unwrap();
+        let parent = os.create_process(&trivial_image("sh")).unwrap();
+        os.link_library(parent, "libc").unwrap();
+        os.create_heap(parent, 64 << 10, VbProperties::NONE).unwrap();
+        // Code, data, the library's static data and the heap are private;
+        // the library code is shared.
+        let private = 4;
+        let cvt = |os: &Os, client| -> Vec<_> {
+            let cvt = os.system().cvt(client).unwrap();
+            cvt.iter().map(|(i, e)| (i, e.vbuid(), e.permissions())).collect()
+        };
+        let clones = |os: &Os| os.system().snapshot().op(OpKind::CloneVb).map_or(0, |op| op.count);
+        let (parent_cvt, os_cvt) =
+            (cvt(&os, os.process(parent).unwrap().client()), cvt(&os, os.os_session().id()));
+        let before = clones(&os);
+
+        os.fork(parent).unwrap();
+
+        assert_eq!(clones(&os), before + private, "each private VB is one clone_vb op");
+        assert_eq!(cvt(&os, os.process(parent).unwrap().client()), parent_cvt);
+        assert_eq!(cvt(&os, os.os_session().id()), os_cvt, "the OS let go of its staging");
+        assert_eq!(os.system().audit(), Ok(()));
     }
 
     #[test]

@@ -237,12 +237,13 @@ mod tests {
         use crate::config::VbiConfig;
         use crate::mtl::Mtl;
         use crate::vb::VbProperties;
+        use crate::vm::VmId;
 
         let config = VbiConfig { phys_frames: 4096, ..VbiConfig::vbi_full() };
         let setup = |m: &mut Mtl| {
-            let a = m.find_free_vb(SizeClass::Kib128).unwrap();
+            let a = m.find_free_vb(SizeClass::Kib128, VmId::HOST).unwrap();
             m.enable_vb(a, VbProperties::NONE).unwrap();
-            let b = m.find_free_vb(SizeClass::Mib4).unwrap();
+            let b = m.find_free_vb(SizeClass::Mib4, VmId::HOST).unwrap();
             m.enable_vb(b, VbProperties::NONE).unwrap();
             (a, b)
         };
@@ -268,10 +269,10 @@ mod tests {
             // COW-clone `src`, then migrate its contents into a fresh
             // same-class VB (the 1-MTL degenerate case) — the ops behind
             // the `vbs_cloned` / `vbs_migrated` counters.
-            let clone = m.find_free_vb(src.size_class()).unwrap();
+            let clone = m.find_free_vb(src.size_class(), VmId::HOST).unwrap();
             m.enable_vb(clone, VbProperties::NONE).unwrap();
             m.clone_vb(src, clone).unwrap();
-            let dest = m.find_free_vb(src.size_class()).unwrap();
+            let dest = m.find_free_vb(src.size_class(), VmId::HOST).unwrap();
             m.enable_vb(dest, VbProperties::NONE).unwrap();
             Mtl::migrate_contents(m, None, src, dest).unwrap();
             assert_eq!(m.read_u64(dest.address(3 << 12).unwrap()).unwrap(), 3);

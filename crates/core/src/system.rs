@@ -24,17 +24,18 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::addr::{SizeClass, VbiAddress, Vbuid};
+use crate::addr::{SizeClass, Vbuid};
 use crate::client::{ClientId, ClientIdAllocator, Cvt, CvtEntry};
 use crate::config::VbiConfig;
 use crate::cvt_cache::{ClientCvtCache, CvtCache, CvtCacheStats};
 use crate::error::{Result, VbiError};
-use crate::mtl::{Mtl, MtlAccess};
+use crate::mtl::Mtl;
 use crate::ops::{self, Op, OpEnv, OpResult};
 use crate::session::{ClientSession, SessionHost};
 use crate::sync::unpoison;
 use crate::telemetry::{ClientMapStats, ShardActivity, Snapshot, Telemetry};
 use crate::vb::VbProperties;
+use crate::vm::VmId;
 
 pub use crate::ops::{CheckedAccess, VbHandle};
 
@@ -101,8 +102,8 @@ impl OpEnv for SystemInner {
         f(&mut self.mtl)
     }
 
-    fn place_vb(&mut self, size_class: SizeClass, props: VbProperties) -> Result<Vbuid> {
-        let vbuid = self.mtl.find_free_vb(size_class)?;
+    fn place_vb(&mut self, vm: VmId, size_class: SizeClass, props: VbProperties) -> Result<Vbuid> {
+        let vbuid = self.mtl.find_free_vb(size_class, vm)?;
         self.mtl.enable_vb(vbuid, props)?;
         Ok(vbuid)
     }
@@ -110,6 +111,7 @@ impl OpEnv for SystemInner {
     fn place_vb_on(
         &mut self,
         shard: usize,
+        vm: VmId,
         size_class: SizeClass,
         props: VbProperties,
     ) -> Result<Vbuid> {
@@ -117,7 +119,7 @@ impl OpEnv for SystemInner {
         if shard != 0 {
             return Err(VbiError::InvalidShard { shard, shards: 1 });
         }
-        self.place_vb(size_class, props)
+        self.place_vb(vm, size_class, props)
     }
 
     fn with_mtl_pair<R>(
@@ -220,7 +222,9 @@ impl System {
                 mtl: Mtl::new(config.clone()),
                 cvts: HashMap::new(),
                 cvt_caches: HashMap::new(),
-                client_ids: ClientIdAllocator::new(),
+                // Host clients take the host's client IDs (§6.1): a guest's
+                // IDs, and so its VBID slice, stay its own.
+                client_ids: config.vm_partition().client_ids(VmId::HOST),
                 config: config.clone(),
                 telemetry: Arc::clone(&telemetry),
             })),
@@ -244,8 +248,9 @@ impl System {
         MtlRef(self.lock())
     }
 
-    /// Mutable access to the MTL (used by simulators driving translation
-    /// directly and by the OS model for swapping/mmap).
+    /// Mutable access to the MTL, around the engine: for white-box tests
+    /// and for timing the MTL half on its own. Product code changes the
+    /// machine through [`System::execute`] and the methods below.
     pub fn mtl_mut(&self) -> MtlRefMut<'_> {
         MtlRefMut(self.lock())
     }
@@ -300,22 +305,6 @@ impl System {
         Ok(CvtRef { guard, client })
     }
 
-    // --- direct MTL access ---------------------------------------------------
-
-    /// Direct (unchecked) MTL translation — the path taken after the cache
-    /// hierarchy misses, used by the timing simulator.
-    ///
-    /// # Errors
-    ///
-    /// Any translation error.
-    pub fn mtl_translate(
-        &self,
-        address: VbiAddress,
-        access: MtlAccess,
-    ) -> Result<crate::mtl::Translation> {
-        self.lock().mtl.translate(address, access)
-    }
-
     // --- capacity management ----------------------------------------------------
 
     /// Reclaims up to `count` resident frames from the VB behind
@@ -339,6 +328,17 @@ impl System {
     /// handle does not resolve.
     pub fn backing_report(&self, client: ClientId, index: usize) -> Result<ops::BackingReport> {
         ops::backing_report(&mut *self.lock(), client, index)
+    }
+
+    /// Binds `contents` as the swapped-out pages of the VB behind
+    /// (`client`, `index`) — the OS model's memory-mapped files (§3.4).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VbiError::InvalidClient`] / an invalid-CVT error when the
+    /// handle does not resolve, or any error of [`Mtl::bind_file`].
+    pub fn bind_file(&self, client: ClientId, index: usize, contents: &[u8]) -> Result<()> {
+        ops::bind_file(&mut *self.lock(), client, index, contents)
     }
 
     // --- observability -------------------------------------------------------

@@ -78,14 +78,17 @@ impl VbInfoTables {
     }
 
     /// Scans for a free VB of `size_class` whose VBID falls in `[lo, hi)` —
-    /// the partitioned variant used by sharded MTLs (§6.2 homes VBs on an
-    /// MTL by the high-order bits of the VBID, so each shard's slice is a
-    /// contiguous VBID range).
+    /// the partitioned variant the MTL uses (§6.1 gives each VM, and §6.2
+    /// each home MTL, a contiguous VBID range named by the high-order VBID
+    /// bits; a VB is placed in the intersection).
     ///
     /// # Errors
     ///
     /// Returns [`VbiError::OutOfVirtualBlocks`] when the slice is exhausted.
     pub fn find_free_in(&self, size_class: SizeClass, lo: u64, hi: u64) -> Result<Vbuid> {
+        if lo >= hi {
+            return Err(VbiError::OutOfVirtualBlocks(size_class));
+        }
         let table = &self.tables[size_class.id() as usize];
         // Prefer a previously used, now-disabled slot.
         if let Some((&vbid, _)) = table.range(lo..hi).find(|(_, e)| !e.enabled) {

@@ -1,16 +1,22 @@
 //! Virtual-machine support: partitioning the VBI address space (§6.1).
 //!
 //! VBI isolates virtual machines by partitioning the global VBI address
-//! space: a few bits of the VBID (five in the paper's Figure 5, supporting
-//! 31 VMs plus the host as VM 0) name the owning VM. Client IDs are
-//! partitioned the same way. Once a guest process is attached to its VBs,
-//! its memory accesses are ordinary VBI accesses — no nested translation,
-//! no two-dimensional page walks.
+//! space: the top [`VbiConfig::vm_id_bits`] bits of a VBID (five in the
+//! paper's Figure 5, supporting 31 VMs plus the host as VM 0) name the
+//! owning VM. Client IDs are partitioned the same way. Placement is the
+//! engine's: a `request_vb` lands in the VM that owns the requesting
+//! client's ID, and `clone_vb`/`promote` land in the source VB's VM, so a
+//! guest's VBs stay inside its slice by construction. Once a guest process
+//! is attached to its VBs, its memory accesses are ordinary VBI accesses —
+//! no nested translation, no two-dimensional page walks.
+//!
+//! [`VbiConfig::vm_id_bits`]: crate::config::VbiConfig::vm_id_bits
 
 use core::fmt;
+use core::ops::Range;
 
 use crate::addr::{SizeClass, Vbuid};
-use crate::client::ClientId;
+use crate::client::{ClientId, ClientIdAllocator};
 use crate::error::{Result, VbiError};
 use crate::session::ClientSession;
 use crate::system::System;
@@ -34,7 +40,8 @@ impl fmt::Display for VmId {
     }
 }
 
-/// Partitions VBIDs and client IDs among virtual machines.
+/// Partitions VBIDs and client IDs among virtual machines. A machine's
+/// partition is [`crate::VbiConfig::vm_partition`].
 ///
 /// With `vm_id_bits = 5` (Figure 5), each size class's VBID space is split
 /// into 32 equal slices: the VM ID occupies the top five VBID bits, so for
@@ -112,6 +119,25 @@ impl VmPartition {
         vbuid.vbid() & ((1u64 << shift) - 1)
     }
 
+    /// The VBIDs of `size_class` in `vm`'s slice (the whole class with no
+    /// VM-ID bits).
+    pub fn vbids(&self, vm: VmId, size_class: SizeClass) -> Range<u64> {
+        let per_vm = self.vbs_per_vm(size_class);
+        let lo = u64::from(vm.0) * per_vm;
+        lo..lo + per_vm
+    }
+
+    /// The VM whose client-ID range holds `client`.
+    pub fn vm_of_client(&self, client: ClientId) -> VmId {
+        VmId((u32::from(client.0) >> (16 - self.vm_id_bits)) as u8)
+    }
+
+    /// An allocator of `vm`'s client IDs.
+    pub fn client_ids(&self, vm: VmId) -> ClientIdAllocator {
+        let (start, end) = self.client_range(vm);
+        ClientIdAllocator::with_range(start, end)
+    }
+
     /// The client-ID range assigned to a VM (client IDs are partitioned the
     /// same way as VBIDs, over the 16-bit client space).
     pub fn client_range(&self, vm: VmId) -> (u16, u32) {
@@ -121,22 +147,31 @@ impl VmPartition {
     }
 }
 
-/// A guest virtual machine: a slice of the VBI space plus its own client-ID
-/// range. The guest OS allocates VBs and clients inside its slice without
-/// coordinating with the host (§6.1).
+/// A guest virtual machine on a [`System`]: a slice of the VBI space plus
+/// its own client-ID range, both taken from the system's
+/// [`crate::VbiConfig::vm_partition`]. The guest OS creates clients inside
+/// its range without coordinating with the host; their `request_vb`s land
+/// in the VM's VBID slice because the engine places by client ID (§6.1).
 #[derive(Debug)]
 pub struct VirtualMachine {
+    system: System,
     vm: VmId,
     partition: VmPartition,
-    next_client: u32,
-    client_end: u32,
+    clients: ClientIdAllocator,
 }
 
 impl VirtualMachine {
-    /// Creates the guest-side state for `vm` under `partition`.
-    pub fn new(vm: VmId, partition: VmPartition) -> Self {
-        let (start, end) = partition.client_range(vm);
-        Self { vm, partition, next_client: start as u32, client_end: end }
+    /// Creates the guest-side state for `vm` on `system`.
+    ///
+    /// # Errors
+    ///
+    /// [`VbiError::InvalidVmId`] if the system's partition has no VM `vm`.
+    pub fn new(system: &System, vm: VmId) -> Result<Self> {
+        let partition = system.config().vm_partition();
+        if u32::from(vm.0) >= partition.vm_count() {
+            return Err(VbiError::InvalidVmId(vm.0));
+        }
+        Ok(Self { system: system.clone(), vm, partition, clients: partition.client_ids(vm) })
     }
 
     /// The VM's ID.
@@ -150,31 +185,9 @@ impl VirtualMachine {
     /// # Errors
     ///
     /// [`VbiError::OutOfClients`] when the slice is exhausted.
-    pub fn create_guest_client(&mut self, system: &System) -> Result<ClientSession<System>> {
-        if self.next_client >= self.client_end {
-            return Err(VbiError::OutOfClients);
-        }
-        let id = ClientId(self.next_client as u16);
-        self.next_client += 1;
-        system.create_client_with_id(id)
-    }
-
-    /// Finds a free VB of `size_class` inside the VM's slice by scanning
-    /// VM-local VBIDs (the guest OS's `request_vb` scan).
-    ///
-    /// # Errors
-    ///
-    /// [`VbiError::OutOfVirtualBlocks`] when the slice is exhausted.
-    pub fn find_free_vb(&self, system: &System, size_class: SizeClass) -> Result<Vbuid> {
-        let per_vm = self.partition.vbs_per_vm(size_class);
-        for local in 0..per_vm {
-            let vbuid = self.partition.vbuid(self.vm, size_class, local)?;
-            if system.mtl().translation_kind(vbuid).is_err() {
-                // Not enabled: free.
-                return Ok(vbuid);
-            }
-        }
-        Err(VbiError::OutOfVirtualBlocks(size_class))
+    pub fn create_guest_client(&mut self) -> Result<ClientSession<System>> {
+        let id = self.clients.allocate()?;
+        self.system.create_client_with_id(id)
     }
 
     /// Whether `vbuid` belongs to this VM's slice.
@@ -188,6 +201,7 @@ mod tests {
     use super::*;
     use crate::config::VbiConfig;
     use crate::perm::Rwx;
+    use crate::telemetry::OpKind;
     use crate::vb::VbProperties;
 
     #[test]
@@ -239,39 +253,68 @@ mod tests {
     fn guests_allocate_in_their_own_slices() {
         let system =
             System::new(VbiConfig { phys_frames: 4096, vm_id_bits: 5, ..VbiConfig::vbi_full() });
-        let part = VmPartition::new(5);
-        let mut vm1 = VirtualMachine::new(VmId(1), part);
-        let mut vm2 = VirtualMachine::new(VmId(2), part);
+        let mut vm1 = VirtualMachine::new(&system, VmId(1)).unwrap();
+        let mut vm2 = VirtualMachine::new(&system, VmId(2)).unwrap();
 
-        let c1 = vm1.create_guest_client(&system).unwrap();
-        let c2 = vm2.create_guest_client(&system).unwrap();
+        let c1 = vm1.create_guest_client().unwrap();
+        let c2 = vm2.create_guest_client().unwrap();
         assert_ne!(c1.id(), c2.id());
 
-        let vb1 = vm1.find_free_vb(&system, SizeClass::Kib128).unwrap();
-        system.mtl_mut().enable_vb(vb1, VbProperties::NONE).unwrap();
-        let vb2 = vm2.find_free_vb(&system, SizeClass::Kib128).unwrap();
-        system.mtl_mut().enable_vb(vb2, VbProperties::NONE).unwrap();
+        let requests = || system.snapshot().op(OpKind::RequestVb).map_or(0, |op| op.count);
+        let before = requests();
+        let vb1 = c1.request_vb(128 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+        assert_eq!(requests(), before + 1, "a guest's request_vb is one engine op");
+        let vb2 = c2.request_vb(128 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
 
-        assert!(vm1.owns(vb1) && !vm1.owns(vb2));
-        assert!(vm2.owns(vb2) && !vm2.owns(vb1));
+        assert!(vm1.owns(vb1.vbuid) && !vm1.owns(vb2.vbuid));
+        assert!(vm2.owns(vb2.vbuid) && !vm2.owns(vb1.vbuid));
 
         // A guest process accesses its VB like any native process: same
         // translation path, no nested walk.
-        let i1 = c1.attach(vb1, Rwx::READ_WRITE).unwrap();
-        c1.store_u64(crate::client::VirtualAddress::new(i1, 0), 77).unwrap();
-        assert_eq!(c1.load_u64(crate::client::VirtualAddress::new(i1, 0)).unwrap(), 77);
+        c1.store_u64(vb1.at(0), 77).unwrap();
+        assert_eq!(c1.load_u64(vb1.at(0)).unwrap(), 77);
     }
 
     #[test]
     fn guest_client_slice_exhaustion() {
         let system =
             System::new(VbiConfig { phys_frames: 256, vm_id_bits: 8, ..VbiConfig::vbi_full() });
-        let part = VmPartition::new(8);
-        let mut vm = VirtualMachine::new(VmId(255), part);
+        let mut vm = VirtualMachine::new(&system, VmId(255)).unwrap();
         // 2^16 / 2^8 = 256 clients per VM.
         for _ in 0..256 {
-            vm.create_guest_client(&system).unwrap();
+            vm.create_guest_client().unwrap();
         }
-        assert!(matches!(vm.create_guest_client(&system), Err(VbiError::OutOfClients)));
+        assert!(matches!(vm.create_guest_client(), Err(VbiError::OutOfClients)));
+    }
+
+    #[test]
+    fn host_clients_stay_in_the_host_range() {
+        let system =
+            System::new(VbiConfig { phys_frames: 256, vm_id_bits: 8, ..VbiConfig::vbi_full() });
+        for _ in 0..256 {
+            system.create_client().unwrap();
+        }
+        assert!(matches!(system.create_client(), Err(VbiError::OutOfClients)));
+        let mut vm = VirtualMachine::new(&system, VmId(1)).unwrap();
+        assert_eq!(vm.create_guest_client().unwrap().id(), ClientId(256));
+    }
+
+    #[test]
+    fn vms_outside_the_partition_are_rejected() {
+        let system = System::new(VbiConfig { phys_frames: 256, ..VbiConfig::vbi_full() });
+        assert!(VirtualMachine::new(&system, VmId::HOST).is_ok());
+        assert!(matches!(VirtualMachine::new(&system, VmId(1)), Err(VbiError::InvalidVmId(1))));
+    }
+
+    #[test]
+    fn client_ids_map_to_their_vm() {
+        let part = VmPartition::new(5);
+        for vm in [0u8, 1, 9, 31] {
+            let (start, end) = part.client_range(VmId(vm));
+            assert_eq!(part.vm_of_client(ClientId(start)), VmId(vm));
+            assert_eq!(part.vm_of_client(ClientId((end - 1) as u16)), VmId(vm));
+        }
+        assert_eq!(VmPartition::new(0).vm_of_client(ClientId(u16::MAX)), VmId::HOST);
+        assert_eq!(VmPartition::new(0).vbids(VmId::HOST, SizeClass::Kib4), 0..1 << 49);
     }
 }

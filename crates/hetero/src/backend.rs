@@ -143,6 +143,7 @@ impl PressureBackend for SlowTierBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vbi_core::vm::VmId;
     use vbi_core::{Mtl, SizeClass, VbProperties, VbiConfig};
 
     #[test]
@@ -180,7 +181,7 @@ mod tests {
         let config = VbiConfig { phys_frames: 256, ..VbiConfig::vbi_full() };
         let mut m = Mtl::new(config);
         m.set_backing(SlowTierBackend::new(HeteroKind::PcmDram, None).boxed()).unwrap();
-        let vb = m.find_free_vb(SizeClass::Kib128).unwrap();
+        let vb = m.find_free_vb(SizeClass::Kib128, VmId::HOST).unwrap();
         m.enable_vb(vb, VbProperties::NONE).unwrap();
         for page in 0..16u64 {
             m.write_u64(vb.address(page << 12).unwrap(), page + 1).unwrap();

@@ -132,13 +132,14 @@ use vbi_core::client::{ClientId, ClientIdAllocator, Cvt, CvtEntry};
 use vbi_core::config::VbiConfig;
 use vbi_core::cvt_cache::{ClientCvtCache, CvtCacheStats};
 use vbi_core::error::{Result, VbiError};
-use vbi_core::mtl::{Mtl, MtlAccess};
+use vbi_core::mtl::Mtl;
 use vbi_core::ops::{self, Op, OpEnv, OpResult};
 use vbi_core::session::{ClientSession, SessionHost};
 use vbi_core::stats::MtlStats;
 use vbi_core::telemetry::{Snapshot, Telemetry};
 use vbi_core::tlb::TlbStats;
 use vbi_core::vb::VbProperties;
+use vbi_core::vm::VmId;
 
 pub mod async_session;
 mod client_map;
@@ -164,6 +165,11 @@ pub type ServiceSession = ClientSession<VbiService>;
 /// `base.phys_frames` is the *total* physical memory of the machine; it is
 /// split evenly across the shards (each shard's MTL owns its own frames,
 /// like the per-node memories of §6.2).
+///
+/// `base.vm_id_bits` (§6.1) and the shard count take the same top VBID
+/// bits, so a VB is placed where its VM's slice meets a shard's: with 5
+/// VM-ID bits on 4 shards, VM `v` homes on shard `v / 8`, and placement
+/// falls over to that shard.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of MTL shards: a power of two in `[1, 256]`.
@@ -365,7 +371,7 @@ impl OpEnv for ServiceEnv<'_> {
         f(&mut self.0.lock_shard(shard))
     }
 
-    fn place_vb(&mut self, size_class: SizeClass, props: VbProperties) -> Result<Vbuid> {
+    fn place_vb(&mut self, vm: VmId, size_class: SizeClass, props: VbProperties) -> Result<Vbuid> {
         // Round-robin placement, falling over to the next shard when one
         // VBID slice or memory pool is exhausted.
         let count = self.0.inner.shards.len();
@@ -374,7 +380,7 @@ impl OpEnv for ServiceEnv<'_> {
         for probe in 0..count {
             let shard = (start + probe) % count;
             let mut mtl = self.0.lock_shard(shard);
-            match mtl.find_free_vb(size_class).and_then(|vb| {
+            match mtl.find_free_vb(size_class, vm).and_then(|vb| {
                 mtl.enable_vb(vb, props)?;
                 Ok(vb)
             }) {
@@ -392,6 +398,7 @@ impl OpEnv for ServiceEnv<'_> {
     fn place_vb_on(
         &mut self,
         shard: usize,
+        vm: VmId,
         size_class: SizeClass,
         props: VbProperties,
     ) -> Result<Vbuid> {
@@ -400,7 +407,7 @@ impl OpEnv for ServiceEnv<'_> {
             return Err(VbiError::InvalidShard { shard, shards });
         }
         let mut mtl = self.0.lock_shard(shard);
-        let vb = mtl.find_free_vb(size_class)?;
+        let vb = mtl.find_free_vb(size_class, vm)?;
         mtl.enable_vb(vb, props)?;
         Ok(vb)
     }
@@ -512,12 +519,14 @@ impl VbiService {
             config.base.telemetry_tracing,
         ));
         let clients = ClientMap::new(config.base.cvt_capacity, config.base.cvt_cache_slots);
+        // Host clients take the host's client IDs (§6.1).
+        let ids = Mutex::new(config.base.vm_partition().client_ids(VmId::HOST));
         Self {
             inner: Arc::new(Inner {
                 config,
                 shards,
                 clients,
-                ids: Mutex::new(ClientIdAllocator::new()),
+                ids,
                 placement: AtomicUsize::new(0),
                 frames_borrowed: AtomicU64::new(0),
                 telemetry,
@@ -545,11 +554,6 @@ impl VbiService {
     fn lock_shard(&self, shard: usize) -> MutexGuard<'_, Mtl> {
         let slot = &self.inner.shards[shard];
         lock_counted(&slot.mtl, &slot.acquisitions, &slot.contended)
-    }
-
-    /// Locks the home shard of `vbuid`.
-    fn lock_home(&self, vbuid: Vbuid) -> MutexGuard<'_, Mtl> {
-        self.lock_shard(self.shard_of(vbuid))
     }
 
     /// Reads the VB a client's CVT index points at, without touching any
@@ -834,20 +838,6 @@ impl VbiService {
             swap_occupancy: self.swap_occupancy() as u64,
             queue: None,
         }
-    }
-
-    /// Runs `f` with the translation of `addr` on its home shard — an
-    /// escape hatch for diagnostics (mirrors `System::mtl_translate`).
-    ///
-    /// # Errors
-    ///
-    /// Any translation error.
-    pub fn translate(
-        &self,
-        addr: vbi_core::VbiAddress,
-        access: MtlAccess,
-    ) -> Result<vbi_core::mtl::Translation> {
-        self.lock_home(addr.vbuid()).translate(addr, access)
     }
 }
 

@@ -42,6 +42,7 @@ use vbi_core::cvt_cache::{ClientCvtCache, CvtCache};
 use vbi_core::mtl::{Mtl, MtlAccess, TranslateResult};
 use vbi_core::perm::Rwx;
 use vbi_core::vb::VbProperties;
+use vbi_core::vm::VmId;
 use vbi_mem_sim::controller::MemoryController;
 use vbi_mem_sim::hierarchy::{CacheHierarchy, HitLevel};
 use vbi_mem_sim::timing::CacheTiming;
@@ -291,7 +292,7 @@ impl Machine {
                 let mut bases = Vec::with_capacity(sizes.len());
                 for &size in sizes {
                     let sc = SizeClass::smallest_fitting(size).expect("workloads fit a size class");
-                    let vb = mtl.find_free_vb(sc).expect("plenty of VBs");
+                    let vb = mtl.find_free_vb(sc, VmId::HOST).expect("plenty of VBs");
                     mtl.enable_vb(vb, VbProperties::NONE).expect("fresh VB");
                     mtl.add_ref(vb).expect("enabled");
                     let index = cvt.attach(vb, Rwx::ALL).expect("one entry per region");

@@ -3,13 +3,13 @@
 //!
 //! Run with: `cargo run --example virtual_machines`
 
-use vbi::core::vm::{VirtualMachine, VmId, VmPartition};
+use vbi::core::vm::{VirtualMachine, VmId};
 use vbi::{Rwx, SizeClass, System, VbProperties, VbiConfig, VirtualAddress};
 
 fn main() -> vbi::Result<()> {
     // Figure 5's layout: 5 VM-ID bits = 31 guests + the host.
-    let partition = VmPartition::new(5);
     let system = System::new(VbiConfig { vm_id_bits: 5, ..VbiConfig::vbi_full() });
+    let partition = system.config().vm_partition();
 
     println!(
         "partition: {} VMs, {} x 4 GiB VBs each",
@@ -17,26 +17,24 @@ fn main() -> vbi::Result<()> {
         partition.vbs_per_vm(SizeClass::Gib4)
     );
 
-    let mut vm1 = VirtualMachine::new(VmId(1), partition);
-    let mut vm2 = VirtualMachine::new(VmId(2), partition);
+    let mut vm1 = VirtualMachine::new(&system, VmId(1))?;
+    let mut vm2 = VirtualMachine::new(&system, VmId(2))?;
 
-    // Each guest OS allocates clients and VBs inside its own slice without
-    // coordinating with the host; guest processes get ordinary sessions.
-    let guest1 = vm1.create_guest_client(&system)?;
-    let guest2 = vm2.create_guest_client(&system)?;
+    // Each guest OS creates clients inside its own slice without
+    // coordinating with the host; guest processes get ordinary sessions,
+    // and their requests land in their VM's slice of the VB space.
+    let guest1 = vm1.create_guest_client()?;
+    let guest2 = vm2.create_guest_client()?;
 
-    let vb1 = vm1.find_free_vb(&system, SizeClass::Kib128)?;
-    system.mtl_mut().enable_vb(vb1, VbProperties::NONE)?;
-    let vb2 = vm2.find_free_vb(&system, SizeClass::Kib128)?;
-    system.mtl_mut().enable_vb(vb2, VbProperties::NONE)?;
-    println!("vm1 allocated {vb1}; vm2 allocated {vb2}");
-    assert!(vm1.owns(vb1) && !vm1.owns(vb2));
+    let vb1 = guest1.request_vb(128 << 10, VbProperties::NONE, Rwx::READ_WRITE)?;
+    let vb2 = guest2.request_vb(128 << 10, VbProperties::NONE, Rwx::READ_WRITE)?;
+    println!("vm1 allocated {}; vm2 allocated {}", vb1.vbuid, vb2.vbuid);
+    assert!(vm1.owns(vb1.vbuid) && !vm1.owns(vb2.vbuid));
 
     // Guest memory accesses are plain VBI accesses: protection at the CVT,
     // translation at the memory controller. No two-dimensional page walk
     // exists anywhere in this path.
-    let i1 = guest1.attach(vb1, Rwx::READ_WRITE)?;
-    let i2 = guest2.attach(vb2, Rwx::READ_WRITE)?;
+    let (i1, i2) = (vb1.cvt_index, vb2.cvt_index);
     guest1.store_u64(VirtualAddress::new(i1, 0), 0xAAAA)?;
     guest2.store_u64(VirtualAddress::new(i2, 0), 0xBBBB)?;
     assert_eq!(guest1.load_u64(VirtualAddress::new(i1, 0))?, 0xAAAA);

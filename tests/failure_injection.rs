@@ -2,6 +2,7 @@
 //! degrades with clean errors and intact data, never corruption.
 
 use vbi::core::os::{BinaryImage, Os, Section, SectionKind};
+use vbi::core::vm::VmId;
 use vbi::hetero::memory::HeteroKind;
 use vbi::hetero::SlowTierBackend;
 use vbi::{Rwx, SizeClass, System, VbProperties, VbiConfig, VbiError};
@@ -81,7 +82,7 @@ fn same_workload_succeeds_when_the_backing_store_can_absorb_it() {
 #[test]
 fn double_enable_and_double_disable_are_rejected() {
     let system = System::new(VbiConfig { phys_frames: 1 << 12, ..VbiConfig::vbi_full() });
-    let vb = system.mtl().find_free_vb(SizeClass::Kib4).unwrap();
+    let vb = system.mtl().find_free_vb(SizeClass::Kib4, VmId::HOST).unwrap();
     system.mtl_mut().enable_vb(vb, VbProperties::NONE).unwrap();
     assert!(matches!(
         system.mtl_mut().enable_vb(vb, VbProperties::NONE),
@@ -106,9 +107,9 @@ fn detach_of_unattached_vb_fails_without_corruption() {
 #[test]
 fn promotion_at_the_top_class_is_rejected() {
     let system = System::new(VbiConfig { phys_frames: 1 << 12, ..VbiConfig::vbi_full() });
-    let vb = system.mtl().find_free_vb(SizeClass::Tib128).unwrap();
+    let vb = system.mtl().find_free_vb(SizeClass::Tib128, VmId::HOST).unwrap();
     system.mtl_mut().enable_vb(vb, VbProperties::NONE).unwrap();
-    let other = system.mtl().find_free_vb(SizeClass::Tib128).unwrap();
+    let other = system.mtl().find_free_vb(SizeClass::Tib128, VmId::HOST).unwrap();
     system.mtl_mut().enable_vb(other, VbProperties::NONE).unwrap();
     assert!(matches!(
         system.mtl_mut().promote_vb(vb, other),

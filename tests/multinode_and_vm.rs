@@ -5,29 +5,57 @@
 
 use vbi::core::vm::{VirtualMachine, VmId, VmPartition};
 use vbi::service::{ServiceConfig, VbiService};
-use vbi::{Rwx, SizeClass, System, VbProperties, VbiConfig, VirtualAddress};
+use vbi::{ClientId, Mtl, Rwx, SizeClass, System, VbProperties, VbiConfig, VbiError};
 
 #[test]
 fn thirty_one_guests_coexist() {
     let system =
         System::new(VbiConfig { phys_frames: 1 << 16, vm_id_bits: 5, ..VbiConfig::vbi_full() });
-    let partition = VmPartition::new(5);
     let mut vms: Vec<VirtualMachine> =
-        (1..=31).map(|i| VirtualMachine::new(VmId(i), partition)).collect();
+        (1..=31).map(|i| VirtualMachine::new(&system, VmId(i)).unwrap()).collect();
 
     let mut handles = Vec::new();
     for vm in &mut vms {
-        let guest = vm.create_guest_client(&system).unwrap();
-        let vb = vm.find_free_vb(&system, SizeClass::Kib4).unwrap();
-        system.mtl_mut().enable_vb(vb, VbProperties::NONE).unwrap();
-        let idx = guest.attach(vb, Rwx::READ_WRITE).unwrap();
-        guest.store_u64(VirtualAddress::new(idx, 0), vm.id().0 as u64).unwrap();
-        handles.push((guest, idx, vm.id().0 as u64));
+        let guest = vm.create_guest_client().unwrap();
+        let vb = guest.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+        assert!(vm.owns(vb.vbuid));
+        guest.store_u64(vb.at(0), vm.id().0 as u64).unwrap();
+        handles.push((guest, vb, vm.id().0 as u64));
     }
     // Every guest reads back its own value: full isolation.
-    for (guest, idx, want) in handles {
-        assert_eq!(guest.load_u64(VirtualAddress::new(idx, 0)).unwrap(), want);
+    for (guest, vb, want) in handles {
+        assert_eq!(guest.load_u64(vb.at(0)).unwrap(), want);
     }
+}
+
+/// §6.1 is a placement rule of the engine: whatever a guest asks for —
+/// a fresh VB, a clone, a promotion — lands in its VM's VBID slice, and a
+/// host request never reuses a slot of a guest's slice, not even one a
+/// guest VB has just vacated.
+#[test]
+fn guest_vbs_stay_in_their_vm_slice() {
+    let system =
+        System::new(VbiConfig { phys_frames: 1 << 12, vm_id_bits: 5, ..VbiConfig::vbi_full() });
+    let mut vm = VirtualMachine::new(&system, VmId(3)).unwrap();
+    let host_vm = VirtualMachine::new(&system, VmId::HOST).unwrap();
+    let guest = vm.create_guest_client().unwrap();
+    let host = system.create_client().unwrap();
+
+    let vb = guest.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+    guest.store_u64(vb.at(0), 33).unwrap();
+    assert!(vm.owns(vb.vbuid), "request_vb placed {}", vb.vbuid);
+    let clone = guest.clone_vb(vb.cvt_index).unwrap();
+    assert!(vm.owns(clone.vbuid), "clone_vb placed {}", clone.vbuid);
+    // Promotion disables the 4 KiB source: its slot is free again.
+    let promoted = guest.promote(vb.cvt_index).unwrap();
+    assert!(vm.owns(promoted.vbuid), "promote placed {}", promoted.vbuid);
+    assert_eq!(guest.load_u64(promoted.at(0)).unwrap(), 33);
+
+    for _ in 0..4 {
+        let mine = host.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+        assert!(host_vm.owns(mine.vbuid), "the host was handed {}", mine.vbuid);
+    }
+    assert_eq!(system.audit(), Ok(()));
 }
 
 #[test]
@@ -40,6 +68,38 @@ fn guest_and_host_vbs_never_collide() {
             assert!(seen.insert(vb), "collision at vm {vm} local {local}");
         }
     }
+}
+
+/// §6.1's VM ID and §6.2's home shard both take the top VBID bits, so with
+/// 5 VM-ID bits on a 4-shard machine VMs 8k…8k+7 all home on shard k, and a
+/// service places a guest's VBs where its VM slice meets a shard's.
+#[test]
+fn vm_and_shard_bits_coincide() {
+    let partition = VmPartition::new(5);
+    for v in 0..32u8 {
+        for sc in SizeClass::ALL {
+            for local in [0, partition.vbs_per_vm(sc) - 1] {
+                let vb = partition.vbuid(VmId(v), sc, local).unwrap();
+                assert_eq!(Mtl::shard_of(vb, 4), usize::from(v / 8), "vm {v}, {sc}");
+            }
+        }
+    }
+
+    let svc = VbiService::new(ServiceConfig::new(
+        4,
+        VbiConfig { phys_frames: 4 * 1024, vm_id_bits: 5, ..VbiConfig::vbi_full() },
+    ));
+    let (first_client, _) = partition.client_range(VmId(9));
+    let guest = svc.create_client_with_id(ClientId(first_client)).unwrap();
+    for _ in 0..4 {
+        let vb = guest.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+        assert_eq!(partition.vm_of(vb.vbuid), VmId(9));
+        assert_eq!(svc.shard_of(vb.vbuid), 1);
+    }
+    // No shard but 1 holds a slot of VM 9's slice: its VBs cannot move.
+    let vb = guest.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+    assert!(matches!(guest.migrate(vb.cvt_index, 2), Err(VbiError::OutOfVirtualBlocks(_))));
+    assert_eq!(svc.audit(), Ok(()));
 }
 
 #[test]

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use vbi::core::buddy::BuddyAllocator;
 use vbi::core::phys::Frame;
 use vbi::core::translate::{PageEntry, TranslationStructure};
+use vbi::core::vm::VmId;
 use vbi::core::FrameAllocator;
 use vbi::{Rwx, SizeClass, System, VbProperties, VbiConfig, Vbuid};
 
@@ -156,7 +157,7 @@ proptest! {
             client.store_u64(src.at(page * 4096), page).unwrap();
         }
         // Clone via the MTL and attach.
-        let dst_vbuid = system.mtl().find_free_vb(src.vbuid.size_class()).unwrap();
+        let dst_vbuid = system.mtl().find_free_vb(src.vbuid.size_class(), VmId::HOST).unwrap();
         system.mtl_mut().enable_vb(dst_vbuid, VbProperties::NONE).unwrap();
         system.mtl_mut().clone_vb(src.vbuid, dst_vbuid).unwrap();
         let dst_index = client.attach(dst_vbuid, Rwx::READ_WRITE).unwrap();
