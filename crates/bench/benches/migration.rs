@@ -1,6 +1,6 @@
 //! `migration` bench: cross-shard VB migration under concurrent lock-free
-//! readers (`vbi_sim::service_run::migration_run`) over readers × shards ×
-//! churn intensity.
+//! readers ([`vbi_bench::migration::migration_run`]) over readers × shards
+//! × churn intensity.
 //!
 //! Exercises the §4.2.2 flexibility claim end to end: a churn thread moves
 //! whole VBs between MTL shards through the engine's `Op::Migrate` while
@@ -18,8 +18,8 @@
 //! migrations/sec column and the epoch-fallback (cache-miss) counter are
 //! the signal there.
 
+use vbi_bench::migration::{migration_run, MigrationRunConfig};
 use vbi_core::telemetry::{bench_line, JsonValue as J};
-use vbi_sim::service_run::{migration_run, MigrationRunConfig};
 
 fn main() {
     let reads_per_thread = std::env::var("VBI_MIGRATION_READS")

@@ -6,7 +6,7 @@ use vbi_bench::figure_config;
 use vbi_sim::engine::run;
 use vbi_sim::report::SpeedupTable;
 use vbi_sim::systems::SystemKind;
-use vbi_workloads::spec::{benchmark, FIG6_BENCHMARKS, FIG7_BENCHMARKS};
+use vbi_sim::workloads::spec::{benchmark, FIG6_BENCHMARKS, FIG7_BENCHMARKS};
 
 pub fn main() {
     let cfg = figure_config();

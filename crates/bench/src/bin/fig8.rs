@@ -14,8 +14,8 @@ use vbi_sim::engine::{EngineConfig, RunResult};
 use vbi_sim::multicore::{run_alone_native, run_bundle};
 use vbi_sim::report::mean;
 use vbi_sim::systems::SystemKind;
-use vbi_workloads::bundles::{bundle, bundle_names, BUNDLES};
-use vbi_workloads::trace::WorkloadSpec;
+use vbi_sim::workloads::bundles::{bundle, bundle_names, BUNDLES};
+use vbi_sim::workloads::trace::WorkloadSpec;
 
 pub fn main() {
     let base = figure_config();

@@ -2,10 +2,10 @@
 //! hotness-unaware PCM-DRAM mapping, with the IDEAL oracle as upper bound.
 
 use vbi_bench::figure_config;
-use vbi_hetero::memory::{HeteroKind, Policy};
+use vbi_sim::hetero::memory::{HeteroKind, Policy};
 use vbi_sim::hetero_run::run_hetero;
 use vbi_sim::report::mean;
-use vbi_workloads::spec::{benchmark, HETERO_BENCHMARKS};
+use vbi_sim::workloads::spec::{benchmark, HETERO_BENCHMARKS};
 
 pub fn main() {
     let kind = HeteroKind::PcmDram;

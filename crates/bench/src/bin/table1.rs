@@ -1,6 +1,6 @@
 //! Regenerates Table 1: the simulation configuration.
 
-use vbi_mem_sim::timing::{CacheTiming, DeviceTiming};
+use vbi_sim::mem::timing::{CacheTiming, DeviceTiming};
 
 pub fn main() {
     vbi_bench::header("Table 1: Simulation configuration");

@@ -15,6 +15,12 @@
 //! The trace length is configurable through `VBI_SIM_ACCESSES` (default
 //! 150 000 measured accesses + 10% warm-up); larger values sharpen the
 //! averages at proportional runtime cost.
+//!
+//! The library also holds [`migration`], the cross-shard migration driver
+//! of the `migration` bench: the one part of this crate that runs the
+//! concurrent service rather than the §7 reproduction (`vbi-sim`).
+
+pub mod migration;
 
 use vbi_sim::engine::EngineConfig;
 

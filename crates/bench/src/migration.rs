@@ -1,23 +1,11 @@
-//! Deterministic replay and the migration driver for the sharded service.
+//! The cross-shard migration driver behind the `migration` bench.
 //!
-//! Where [`crate::engine`] measures *simulated cycles* of one core, this
-//! module drives the real [`vbi_core::System`] and `vbi-service` front
-//! ends with workload traces. Two things live here, each because
-//! something other than a throughput bench uses it:
-//!
-//! * [`trace_ops`] + [`replay`] — a fixed trace pushed single-threaded
-//!   through any [`ClientSession`], so `tests/service_equivalence.rs` can
-//!   compare the single-owner `System` and a service load-for-load and
-//!   counter-for-counter;
-//! * [`migration_run`] — readers hammering VBs while a churn thread
-//!   migrates them between shards through the engine's `Op::Migrate`,
-//!   asserting byte-exactness throughout; the driver of the `migration`
-//!   bench in `vbi-bench`. It is the one host-throughput sweep left
-//!   outside the `perf` benchmark (`BENCHMARK.json`), which has no sharded
-//!   workload yet; it retires into that workload's rows when it lands
-//!   (ROADMAP item 7(b)).
-//!
-//! Host throughput and latency of every front end — `System`,
+//! [`migration_run`] has readers hammering VBs while a churn thread
+//! migrates them between shards through the engine's `Op::Migrate`,
+//! asserting byte-exactness throughout. It is the one host-throughput
+//! sweep left outside the `perf` benchmark (`BENCHMARK.json`), which has
+//! no sharded workload yet; it retires into that workload's rows when it
+//! lands. Host throughput and latency of every front end — `System`,
 //! `VbiService` (`execute` and `submit`), `VbiQueue`, `AsyncSession` —
 //! are measured by `perf` alone.
 
@@ -25,68 +13,9 @@ use std::time::Instant;
 
 use vbi_core::config::VbiConfig;
 use vbi_core::perm::Rwx;
-use vbi_core::session::{ClientSession, SessionHost};
 use vbi_core::system::VbHandle;
 use vbi_core::vb::VbProperties;
 use vbi_service::{ServiceConfig, VbiService};
-use vbi_workloads::trace::WorkloadSpec;
-
-/// Cap on the per-region VB size of a replay: keeps the footprint bounded
-/// while still exercising multi-page VBs.
-pub const REGION_CAP: u64 = 4 << 20;
-
-/// One replayable operation, fully resolved from a workload trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Op {
-    /// Index into the workload's region list (one VB per region).
-    pub region: usize,
-    /// 8-byte-aligned offset within the (capped) region.
-    pub offset: u64,
-    /// Store (`true`) or load (`false`).
-    pub is_write: bool,
-}
-
-/// Materializes `count` operations of `spec`'s trace with `seed` — the
-/// fixed workload both sides of an equivalence comparison replay.
-pub fn trace_ops(spec: &WorkloadSpec, seed: u64, count: usize) -> Vec<Op> {
-    spec.trace(seed)
-        .take(count)
-        .map(|a| {
-            let cap = spec.regions[a.region].bytes.min(REGION_CAP);
-            Op { region: a.region, offset: (a.offset % (cap - 8)) & !7, is_write: a.is_write }
-        })
-        .collect()
-}
-
-/// Replays `ops` through `session` — a fresh client of a
-/// [`System`](vbi_core::System) or of a [`VbiService`] — from one thread,
-/// one VB per region of `spec`; returns every loaded value in op order.
-/// The caller reads the MTL counters off the host it holds.
-pub fn replay<H: SessionHost>(
-    session: &ClientSession<H>,
-    spec: &WorkloadSpec,
-    ops: &[Op],
-) -> Vec<u64> {
-    let handles: Vec<VbHandle> = spec
-        .regions
-        .iter()
-        .map(|r| {
-            session
-                .request_vb(r.bytes.min(REGION_CAP), VbProperties::NONE, Rwx::READ_WRITE)
-                .expect("harness footprint fits the machine")
-        })
-        .collect();
-    let mut loads = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        let va = handles[op.region].at(op.offset);
-        if op.is_write {
-            session.store_u64(va, i as u64).expect("in-bounds store");
-        } else {
-            loads.push(session.load_u64(va).expect("in-bounds load"));
-        }
-    }
-    loads
-}
 
 /// Configuration of one migration run ([`migration_run`]): N reader
 /// threads hammering a set of VBs through clones of **one** session while
@@ -190,7 +119,7 @@ fn migration_pattern(vb: usize, slot: u64) -> u64 {
 
 /// Runs `config.readers` reader threads over `config.vbs` VBs while a churn
 /// thread migrates those VBs round-robin across the shards, all through one
-/// shared [`ClientSession`]. Readers
+/// shared [`ClientSession`](vbi_core::session::ClientSession). Readers
 /// assert byte-exactness on every load: a load either observes the pattern
 /// value or transiently raced the remap handover (a clean `VbNotEnabled`
 /// in the disable window, or the drained source's afterlife if its VBUID
@@ -315,19 +244,6 @@ pub fn migration_run(config: &MigrationRunConfig) -> MigrationRunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbi_workloads::spec::benchmark;
-
-    #[test]
-    fn trace_ops_are_deterministic_and_aligned() {
-        let spec = benchmark("mcf").unwrap();
-        let a = trace_ops(&spec, 7, 500);
-        let b = trace_ops(&spec, 7, 500);
-        assert_eq!(a, b);
-        for op in &a {
-            assert_eq!(op.offset % 8, 0);
-            assert!(op.offset + 8 <= spec.regions[op.region].bytes.min(REGION_CAP));
-        }
-    }
 
     #[test]
     fn migration_run_keeps_data_byte_exact_under_churn() {

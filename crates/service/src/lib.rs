@@ -180,7 +180,7 @@ pub struct ServiceConfig {
     /// construction (default `None` = the in-memory
     /// [`vbi_core::swap::BackingStore`]). A plain `fn` pointer keeps the
     /// config `Clone` + `Debug`; use it to install a slow-tier model like
-    /// `vbi_hetero::SlowTierBackend` behind every shard.
+    /// `vbi_sim::hetero::SlowTierBackend` behind every shard.
     pub backing: Option<fn() -> Box<dyn PressureBackend>>,
 }
 

@@ -12,8 +12,8 @@
 
 use vbi_core::tlb::Tlb;
 
-use crate::alloc::FrameAlloc;
-use crate::page_table::{PageSize, PageTable};
+use super::alloc::FrameAlloc;
+use super::page_table::{PageSize, PageTable};
 
 /// `Enigma-HW-2M` maps IA space in 2 MiB pages.
 const PAGE_SIZE: PageSize = PageSize::Mb2;
@@ -39,7 +39,7 @@ pub struct EnigmaTranslation {
 /// # Examples
 ///
 /// ```
-/// use vbi_baselines::enigma::EnigmaController;
+/// use vbi_sim::baselines::enigma::EnigmaController;
 ///
 /// let mut enigma = EnigmaController::new(1 << 20);
 /// let cold = enigma.translate(0x4000_0000);

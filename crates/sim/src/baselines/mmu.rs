@@ -8,8 +8,8 @@
 
 use vbi_core::tlb::Tlb;
 
-use crate::alloc::FrameAlloc;
-use crate::page_table::{PageSize, PageTable, WalkStep};
+use super::alloc::FrameAlloc;
+use super::page_table::{PageSize, PageTable, WalkStep};
 
 /// Latency charged when the L2 TLB (not the L1) supplies a translation.
 pub const L2_TLB_LATENCY: u64 = 7;
@@ -121,8 +121,8 @@ impl Default for PageWalkCache {
 /// # Examples
 ///
 /// ```
-/// use vbi_baselines::mmu::NativeMmu;
-/// use vbi_baselines::page_table::PageSize;
+/// use vbi_sim::baselines::mmu::NativeMmu;
+/// use vbi_sim::baselines::page_table::PageSize;
 ///
 /// let mut mmu = NativeMmu::new(PageSize::Kb4, 1 << 20);
 /// let first = mmu.translate(0x1000);

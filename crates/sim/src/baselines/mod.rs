@@ -1,4 +1,4 @@
-//! # vbi-baselines — conventional virtual-memory baselines
+//! Conventional virtual-memory baselines.
 //!
 //! The comparison systems of the paper's evaluation (§7.2), built from
 //! scratch:

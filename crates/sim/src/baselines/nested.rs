@@ -12,9 +12,9 @@
 
 use vbi_core::tlb::Tlb;
 
-use crate::alloc::FrameAlloc;
-use crate::mmu::{MmuEvents, MmuTranslation, PageWalkCache, TlbHierarchy};
-use crate::page_table::{PageSize, PageTable};
+use super::alloc::FrameAlloc;
+use super::mmu::{MmuEvents, MmuTranslation, PageWalkCache, TlbHierarchy};
+use super::page_table::{PageSize, PageTable};
 
 /// A virtualized MMU: guest and host page tables plus the combined TLB
 /// hierarchy — the paper's `Virtual` and `Virtual-2M` baselines.
@@ -22,8 +22,8 @@ use crate::page_table::{PageSize, PageTable};
 /// # Examples
 ///
 /// ```
-/// use vbi_baselines::nested::NestedMmu;
-/// use vbi_baselines::page_table::PageSize;
+/// use vbi_sim::baselines::nested::NestedMmu;
+/// use vbi_sim::baselines::page_table::PageSize;
 ///
 /// let mut mmu = NestedMmu::new(PageSize::Kb4, 1 << 20);
 /// let cold = mmu.translate(0x5000);
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn virtual_walks_cost_more_than_native() {
         let mut nested = NestedMmu::new(PageSize::Kb4, 1 << 20);
-        let mut native = crate::mmu::NativeMmu::new(PageSize::Kb4, 1 << 20);
+        let mut native = crate::baselines::mmu::NativeMmu::new(PageSize::Kb4, 1 << 20);
         let n = nested.translate(0x4000_0000).events.walk_accesses.len();
         let m = native.translate(0x4000_0000).events.walk_accesses.len();
         assert!(n > m * 2, "nested {n} vs native {m}");

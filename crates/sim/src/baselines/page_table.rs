@@ -8,7 +8,7 @@
 //! played through the cache hierarchy and page-walk caches exactly as the
 //! paper's simulator does.
 
-use crate::alloc::FrameAlloc;
+use super::alloc::FrameAlloc;
 
 /// Baseline page sizes evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,8 +85,8 @@ impl PtNode {
 /// # Examples
 ///
 /// ```
-/// use vbi_baselines::alloc::FrameAlloc;
-/// use vbi_baselines::page_table::{PageSize, PageTable};
+/// use vbi_sim::baselines::alloc::FrameAlloc;
+/// use vbi_sim::baselines::page_table::{PageSize, PageTable};
 ///
 /// let mut frames = FrameAlloc::new(1 << 20);
 /// let mut pt = PageTable::new(PageSize::Kb4, &mut frames);

@@ -8,7 +8,7 @@
 //! serially dependent (pointer-chasing) accesses, which expose their full
 //! latency.
 
-use vbi_workloads::trace::WorkloadSpec;
+use crate::workloads::trace::WorkloadSpec;
 
 use crate::systems::{build_system, SystemCounters, SystemKind};
 
@@ -128,7 +128,7 @@ pub fn run(system_kind: SystemKind, spec: &WorkloadSpec, config: &EngineConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbi_workloads::spec::benchmark;
+    use crate::workloads::spec::benchmark;
 
     fn quick() -> EngineConfig {
         EngineConfig { accesses: 5_000, warmup: 500, seed: 7, phys_frames: 1 << 19 }

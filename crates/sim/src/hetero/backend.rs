@@ -13,7 +13,7 @@ use vbi_core::swap::{BackingStore, PageData, PressureBackend};
 use vbi_core::translate::SwapSlot;
 use vbi_core::{Result, VbiError};
 
-use crate::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
+use super::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
 
 /// The region ID the backend charges its traffic to — the tier holds one
 /// undifferentiated pool of swapped pages.
@@ -23,9 +23,9 @@ const SWAP_REGION: usize = 0;
 /// [`HeteroMemory`] slow tier.
 ///
 /// ```
-/// use vbi_hetero::backend::SlowTierBackend;
+/// use vbi_sim::hetero::backend::SlowTierBackend;
 /// use vbi_core::swap::PressureBackend;
-/// use vbi_hetero::memory::HeteroKind;
+/// use vbi_sim::hetero::memory::HeteroKind;
 ///
 /// let mut tier = SlowTierBackend::new(HeteroKind::PcmDram, Some(2));
 /// let a = tier.try_store(Box::new([1u8; 4096])).expect("capacity left");

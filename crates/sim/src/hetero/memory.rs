@@ -17,10 +17,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use vbi_mem_sim::controller::{HybridMemory, TlDramController};
-use vbi_mem_sim::LINE_BYTES;
+use crate::mem::controller::{HybridMemory, TlDramController};
+use crate::mem::LINE_BYTES;
 
-use crate::hotness::HotnessTracker;
+use super::hotness::HotnessTracker;
 
 /// Page granularity used for placement (4 KiB, the MTL's base allocation
 /// unit).
@@ -91,7 +91,7 @@ impl HeteroStats {
 /// # Examples
 ///
 /// ```
-/// use vbi_hetero::memory::{HeteroKind, HeteroMemory, Policy};
+/// use vbi_sim::hetero::memory::{HeteroKind, HeteroMemory, Policy};
 ///
 /// let mut mem = HeteroMemory::new(HeteroKind::PcmDram, 1 << 20, Policy::VbiHotness, 10_000);
 /// mem.register_region(0, 64 << 10);

@@ -1,4 +1,4 @@
-//! # vbi-hetero — heterogeneous-memory management for the VBI reproduction
+//! Heterogeneous-memory management for the reproduction.
 //!
 //! Use case 2 of the paper (§7.3): extracting performance from
 //! heterogeneous main memories by mapping frequently accessed data to the
@@ -14,7 +14,7 @@
 //!   eviction / fault-in traffic with the [`memory`] latency model (§3.4).
 //!
 //! ```
-//! use vbi_hetero::memory::{HeteroKind, HeteroMemory, Policy};
+//! use vbi_sim::hetero::memory::{HeteroKind, HeteroMemory, Policy};
 //!
 //! let mut mem = HeteroMemory::new(HeteroKind::TlDram, 1 << 20, Policy::VbiHotness, 1000);
 //! mem.register_region(0, 64 << 10);

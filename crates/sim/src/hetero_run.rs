@@ -7,10 +7,10 @@
 //! oracle. The oracle is built from a profiling pass over the same trace,
 //! mirroring the paper's "oracle knowledge" formulation.
 
-use vbi_hetero::hotness::HotnessTracker;
-use vbi_hetero::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
-use vbi_mem_sim::hierarchy::{CacheHierarchy, HitLevel};
-use vbi_workloads::trace::WorkloadSpec;
+use crate::hetero::hotness::HotnessTracker;
+use crate::hetero::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
+use crate::mem::hierarchy::{CacheHierarchy, HitLevel};
+use crate::workloads::trace::WorkloadSpec;
 
 use crate::engine::EngineConfig;
 
@@ -155,7 +155,7 @@ fn region_bases(spec: &WorkloadSpec) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbi_workloads::spec::benchmark;
+    use crate::workloads::spec::benchmark;
 
     fn quick() -> EngineConfig {
         EngineConfig { accesses: 40_000, warmup: 4_000, seed: 11, phys_frames: 1 << 20 }

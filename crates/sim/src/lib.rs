@@ -1,8 +1,17 @@
-//! # vbi-sim — end-to-end system simulator for the VBI reproduction
+//! # vbi-sim — the paper's §7 evaluation, reproduced
 //!
-//! Replays `vbi-workloads` traces against the ten system configurations of
-//! the paper's evaluation (§7) and reports paper-shaped speedup tables:
+//! Replays seeded workload traces against the ten system configurations of
+//! the paper's evaluation (§7) and reports paper-shaped speedup tables. The
+//! crate holds the whole reproduction, from the memory substrate up:
 //!
+//! * [`mem`] — caches, DRAM/PCM/TL-DRAM timing and memory controllers
+//!   (Table 1);
+//! * [`baselines`] — conventional x86-64 MMUs, nested (2D) page walks and
+//!   Enigma;
+//! * [`workloads`] — seeded synthetic SPEC / TailBench / Graph 500
+//!   stand-ins;
+//! * [`hetero`] — PCM-DRAM and TL-DRAM placement policies, and a slow-tier
+//!   backing store priced by them;
 //! * [`systems`] — `Native`, `Native-2M`, `Virtual`, `Virtual-2M`,
 //!   `Perfect TLB`, `VIVT`, `Enigma-HW-2M`, `VBI-1`, `VBI-2`, `VBI-Full`;
 //! * [`engine`] — the single-core trace engine (4-wide core, MLP-overlapped
@@ -10,16 +19,15 @@
 //! * [`multicore`] — quad-core bundles and weighted speedup (Figure 8);
 //! * [`hetero_run`] — PCM-DRAM and TL-DRAM placement experiments
 //!   (Figures 9-10);
-//! * [`service_run`] — the deterministic trace replay the equivalence
-//!   suite pushes through `System` and `vbi-service`, and the cross-shard
-//!   migration driver (host throughput of the front ends is `perf`'s job,
-//!   `BENCHMARK.json`);
 //! * [`report`] — speedup tables with `AVG` / `AVG-no-mcf` rows.
+//!
+//! It depends on `vbi-core` and the seeded `rand` alone: the concurrent
+//! service is not part of the reproduction.
 //!
 //! ```no_run
 //! use vbi_sim::engine::{run, EngineConfig};
 //! use vbi_sim::systems::SystemKind;
-//! use vbi_workloads::spec::benchmark;
+//! use vbi_sim::workloads::spec::benchmark;
 //!
 //! let spec = benchmark("mcf").expect("known");
 //! let cfg = EngineConfig::quick();
@@ -28,12 +36,15 @@
 //! println!("VBI-Full speedup on mcf: {:.2}x", vbi.speedup_over(&native));
 //! ```
 
+pub mod baselines;
 pub mod engine;
+pub mod hetero;
 pub mod hetero_run;
+pub mod mem;
 pub mod multicore;
 pub mod report;
-pub mod service_run;
 pub mod systems;
+pub mod workloads;
 
 pub use engine::{run, EngineConfig, RunResult};
 pub use hetero_run::{run_hetero, HeteroRunResult};

@@ -40,7 +40,7 @@ pub struct CacheAccess {
 /// # Examples
 ///
 /// ```
-/// use vbi_mem_sim::cache::Cache;
+/// use vbi_sim::mem::cache::Cache;
 ///
 /// let mut l1 = Cache::new(32 << 10, 8); // 32 KiB, 8-way (Table 1 L1)
 /// assert!(!l1.access(0x1000, false).hit); // cold miss

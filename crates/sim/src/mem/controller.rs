@@ -1,7 +1,7 @@
 //! Memory controllers: homogeneous and hybrid (PCM-DRAM) back ends.
 
-use crate::dram::{AddressMapping, Device, TlDram};
-use crate::timing::DeviceTiming;
+use super::dram::{AddressMapping, Device, TlDram};
+use super::timing::DeviceTiming;
 
 /// A single-device memory controller (the Table 1 configuration: one
 /// channel, one rank, eight banks, open-page policy).
@@ -48,7 +48,7 @@ pub enum HybridRegion {
 /// # Examples
 ///
 /// ```
-/// use vbi_mem_sim::controller::{HybridMemory, HybridRegion};
+/// use vbi_sim::mem::controller::{HybridMemory, HybridRegion};
 ///
 /// let mut mem = HybridMemory::new(64 << 20);
 /// assert_eq!(mem.region_of(0), HybridRegion::Dram);

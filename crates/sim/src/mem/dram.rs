@@ -6,7 +6,7 @@
 //! conflict (tRP + tRCD + CAS). TL-DRAM devices additionally split each
 //! subarray into a near and a far segment with different timings (§7.3).
 
-use crate::timing::DeviceTiming;
+use super::timing::DeviceTiming;
 
 /// Physical-address interleaving across banks and rows.
 ///
@@ -71,8 +71,8 @@ pub struct DeviceStats {
 /// # Examples
 ///
 /// ```
-/// use vbi_mem_sim::dram::{Device, AddressMapping};
-/// use vbi_mem_sim::timing::DeviceTiming;
+/// use vbi_sim::mem::dram::{Device, AddressMapping};
+/// use vbi_sim::mem::timing::DeviceTiming;
 ///
 /// let mut dram = Device::new(DeviceTiming::ddr3_1600(), AddressMapping::default());
 /// let first = dram.access(0);          // closed bank: activate + CAS

@@ -6,8 +6,8 @@
 //! caller, because under VBI those are precisely the events that trigger
 //! physical memory allocation (§5.1).
 
-use crate::cache::{Cache, CacheStats};
-use crate::timing::CacheTiming;
+use super::cache::{Cache, CacheStats};
+use super::timing::CacheTiming;
 
 /// Where in the hierarchy an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct HierarchyAccess {
 /// # Examples
 ///
 /// ```
-/// use vbi_mem_sim::hierarchy::{CacheHierarchy, HitLevel};
+/// use vbi_sim::mem::hierarchy::{CacheHierarchy, HitLevel};
 ///
 /// let mut caches = CacheHierarchy::per_core_default();
 /// let first = caches.access(0x4000, false);

@@ -1,4 +1,4 @@
-//! # vbi-mem-sim — memory-subsystem substrate for the VBI reproduction
+//! The memory-subsystem substrate of the reproduction.
 //!
 //! Models the parts of the machine below the core and above the DIMMs, with
 //! the exact structure sizes and timings of the paper's Table 1:
@@ -15,8 +15,8 @@
 //! * [`timing`] — Table 1 latencies in one place.
 //!
 //! ```
-//! use vbi_mem_sim::hierarchy::{CacheHierarchy, HitLevel};
-//! use vbi_mem_sim::controller::MemoryController;
+//! use vbi_sim::mem::hierarchy::{CacheHierarchy, HitLevel};
+//! use vbi_sim::mem::controller::MemoryController;
 //!
 //! let mut caches = CacheHierarchy::per_core_default();
 //! let mut memory = MemoryController::ddr3_1600();

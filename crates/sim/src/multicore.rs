@@ -9,7 +9,7 @@
 //! WS(system) = (1/4) * Σ_i IPC_i(system, shared) / IPC_i(Native, alone)
 //! ```
 
-use vbi_workloads::trace::WorkloadSpec;
+use crate::workloads::trace::WorkloadSpec;
 
 use crate::engine::{run, EngineConfig, RunResult};
 use crate::systems::SystemKind;
@@ -78,7 +78,7 @@ pub fn run_alone_native(apps: &[WorkloadSpec], config: &EngineConfig) -> Vec<Run
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbi_workloads::bundles::bundle;
+    use crate::workloads::bundles::bundle;
 
     fn quick() -> EngineConfig {
         EngineConfig { accesses: 3_000, warmup: 300, seed: 5, phys_frames: 1 << 20 }

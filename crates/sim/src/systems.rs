@@ -31,10 +31,14 @@
 //! - Regions are laid out by `layout_regions`, Enigma's `IaSpace`, or as
 //!   one VB each (`VBI`, whose warm-up boundary also resets the MTL's stats).
 
-use vbi_baselines::enigma::{EnigmaController, IaSpace};
-use vbi_baselines::mmu::{MmuTranslation, NativeMmu, PerfectMmu, L2_TLB_LATENCY};
-use vbi_baselines::nested::NestedMmu;
-use vbi_baselines::page_table::PageSize;
+use crate::baselines::enigma::{EnigmaController, IaSpace};
+use crate::baselines::mmu::{MmuTranslation, NativeMmu, PerfectMmu, L2_TLB_LATENCY};
+use crate::baselines::nested::NestedMmu;
+use crate::baselines::page_table::PageSize;
+use crate::mem::controller::MemoryController;
+use crate::mem::hierarchy::{CacheHierarchy, HitLevel};
+use crate::mem::timing::CacheTiming;
+use crate::mem::Cache;
 use vbi_core::addr::{SizeClass, VbiAddress};
 use vbi_core::client::{ClientId, Cvt, CvtEntry};
 use vbi_core::config::VbiConfig;
@@ -43,10 +47,6 @@ use vbi_core::mtl::{Mtl, MtlAccess, TranslateResult};
 use vbi_core::perm::Rwx;
 use vbi_core::vb::VbProperties;
 use vbi_core::vm::VmId;
-use vbi_mem_sim::controller::MemoryController;
-use vbi_mem_sim::hierarchy::{CacheHierarchy, HitLevel};
-use vbi_mem_sim::timing::CacheTiming;
-use vbi_mem_sim::Cache;
 
 /// The systems compared in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,7 +1,7 @@
 //! Multiprogrammed workload bundles (Table 2).
 
-use crate::spec::benchmark;
-use crate::trace::WorkloadSpec;
+use super::spec::benchmark;
+use super::trace::WorkloadSpec;
 
 /// The six quad-core bundles of Table 2.
 pub const BUNDLES: [(&str, [&str; 4]); 6] = [

@@ -14,8 +14,8 @@
 //! footprint and TLB reach (2 MiB for the 4 KiB-page hierarchy of Table 1)
 //! preserve each benchmark's TLB-pressure class.
 
-use crate::patterns::Pattern;
-use crate::trace::{RegionSpec, WorkloadSpec};
+use super::patterns::Pattern;
+use super::trace::{RegionSpec, WorkloadSpec};
 
 const MB: u64 = 1 << 20;
 

@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::patterns::Pattern;
+use super::patterns::Pattern;
 
 /// One simulated data structure (a VB under VBI; a contiguous virtual
 /// region under the baselines).
@@ -89,7 +89,7 @@ impl WorkloadSpec {
 /// # Examples
 ///
 /// ```
-/// use vbi_workloads::spec::benchmark;
+/// use vbi_sim::workloads::spec::benchmark;
 ///
 /// let spec = benchmark("mcf").expect("known benchmark");
 /// let accesses: Vec<_> = spec.trace(1).take(100).collect();

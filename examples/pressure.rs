@@ -11,14 +11,14 @@
 //! 2. the `reclaim_vb_frames` ballooning primitive — a client voluntarily
 //!    gives frames back and watches its pages land in the backing store;
 //! 3. a sharded `VbiService` whose shards write back to a *slow-tier*
-//!    backing store modelled on PCM (`vbi-hetero`), so `backing_report`
+//!    backing store modelled on PCM (`vbi_sim::hetero`), so `backing_report`
 //!    also bills the simulated cycles the swap traffic cost.
 //!
 //! Run with: `cargo run --release --example pressure`
 
 use vbi::{Rwx, System, VbProperties, VbiConfig};
-use vbi_hetero::{HeteroKind, SlowTierBackend};
 use vbi_service::{PressureBackend, ServiceConfig, VbiService};
+use vbi_sim::hetero::{HeteroKind, SlowTierBackend};
 
 fn main() -> vbi::Result<()> {
     // ── 1. A System with 64 frames facing a 256-page working set ──────

@@ -9,19 +9,19 @@
 //!   CVT caches, VB Info Tables, and the hardware Memory Translation Layer
 //!   with delayed allocation, flexible per-VB translation structures, and
 //!   early reservation;
-//! * `mem_sim` ([`vbi_mem_sim`]) — caches, DRAM/PCM/TL-DRAM timing, memory
-//!   controllers (Table 1);
-//! * `baselines` ([`vbi_baselines`]) — conventional x86-64 MMUs, nested (2D)
-//!   page walks, and Enigma;
-//! * `workloads` ([`vbi_workloads`]) — seeded synthetic SPEC / TailBench /
-//!   Graph 500 stand-ins;
-//! * `hetero` ([`vbi_hetero`]) — PCM-DRAM and TL-DRAM placement policies;
 //! * `service` ([`vbi_service`]) — the concurrent, sharded MTL memory
 //!   service: a `Send + Sync + Clone` handle over per-shard MTLs (§6.2's
 //!   home-MTL partitioning) with a batched request path;
-//! * `sim` ([`vbi_sim`]) — the end-to-end evaluation engine behind the
-//!   `vbi-bench` figure binaries, plus the deterministic trace replay and
-//!   the migration driver for the service ([`vbi_sim::service_run`]).
+//! * `sim` ([`vbi_sim`]) — the paper's §7 evaluation behind the `vbi-bench`
+//!   figure binaries, with its four parts re-exported here:
+//!   * `mem_sim` ([`vbi_sim::mem`]) — caches, DRAM/PCM/TL-DRAM timing,
+//!     memory controllers (Table 1);
+//!   * `baselines` ([`vbi_sim::baselines`]) — conventional x86-64 MMUs,
+//!     nested (2D) page walks, and Enigma;
+//!   * `workloads` ([`vbi_sim::workloads`]) — seeded synthetic SPEC /
+//!     TailBench / Graph 500 stand-ins;
+//!   * `hetero` ([`vbi_sim::hetero`]) — PCM-DRAM and TL-DRAM placement
+//!     policies.
 //!
 //! ## Quick start
 //!
@@ -42,13 +42,10 @@
 //! mechanisms and `cargo run -p vbi-bench --release --bin run_all` for the
 //! full evaluation.
 
-pub use vbi_baselines as baselines;
 pub use vbi_core as core;
-pub use vbi_hetero as hetero;
-pub use vbi_mem_sim as mem_sim;
 pub use vbi_service as service;
 pub use vbi_sim as sim;
-pub use vbi_workloads as workloads;
+pub use vbi_sim::{baselines, hetero, mem as mem_sim, workloads};
 
 pub use vbi_core::{
     AccessKind, ClientId, ClientSession, Mtl, Op, OpOutput, OpResult, Result, Rwx, SessionHost,

@@ -19,13 +19,83 @@ use rand::{Rng, SeedableRng};
 
 use vbi_core::ops::{Op, OpResult};
 use vbi_core::system::VbHandle;
+use vbi_core::SessionHost;
 use vbi_core::{ClientId, Rwx, System, VbProperties, VbiConfig};
 use vbi_service::{block_on, AsyncFront, AsyncSession, ServiceConfig, VbiService};
-use vbi_sim::service_run::{replay, trace_ops};
-use vbi_workloads::spec::benchmark;
+use vbi_sim::workloads::spec::benchmark;
+use vbi_sim::workloads::trace::WorkloadSpec;
 
 fn config() -> VbiConfig {
     VbiConfig { phys_frames: 1 << 16, ..VbiConfig::vbi_full() }
+}
+
+/// Cap on the per-region VB size of a replay: keeps the footprint bounded
+/// while still exercising multi-page VBs.
+const REGION_CAP: u64 = 4 << 20;
+
+/// One replayable operation, fully resolved from a workload trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TraceOp {
+    /// Index into the workload's region list (one VB per region).
+    region: usize,
+    /// 8-byte-aligned offset within the (capped) region.
+    offset: u64,
+    /// Store (`true`) or load (`false`).
+    is_write: bool,
+}
+
+/// Materializes `count` operations of `spec`'s trace with `seed` — the
+/// fixed workload both sides of an equivalence comparison replay.
+fn trace_ops(spec: &WorkloadSpec, seed: u64, count: usize) -> Vec<TraceOp> {
+    spec.trace(seed)
+        .take(count)
+        .map(|a| {
+            let cap = spec.regions[a.region].bytes.min(REGION_CAP);
+            TraceOp { region: a.region, offset: (a.offset % (cap - 8)) & !7, is_write: a.is_write }
+        })
+        .collect()
+}
+
+/// Replays `ops` through `session` — a fresh client of a [`System`] or of
+/// a [`VbiService`] — from one thread, one VB per region of `spec`; returns
+/// every loaded value in op order. The caller reads the MTL counters off
+/// the host it holds.
+fn replay<H: SessionHost>(
+    session: &vbi_core::ClientSession<H>,
+    spec: &WorkloadSpec,
+    ops: &[TraceOp],
+) -> Vec<u64> {
+    let handles: Vec<VbHandle> = spec
+        .regions
+        .iter()
+        .map(|r| {
+            session
+                .request_vb(r.bytes.min(REGION_CAP), VbProperties::NONE, Rwx::READ_WRITE)
+                .expect("harness footprint fits the machine")
+        })
+        .collect();
+    let mut loads = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let va = handles[op.region].at(op.offset);
+        if op.is_write {
+            session.store_u64(va, i as u64).expect("in-bounds store");
+        } else {
+            loads.push(session.load_u64(va).expect("in-bounds load"));
+        }
+    }
+    loads
+}
+
+#[test]
+fn trace_ops_are_deterministic_and_aligned() {
+    let spec = benchmark("mcf").unwrap();
+    let a = trace_ops(&spec, 7, 500);
+    let b = trace_ops(&spec, 7, 500);
+    assert_eq!(a, b);
+    for op in &a {
+        assert_eq!(op.offset % 8, 0);
+        assert!(op.offset + 8 <= spec.regions[op.region].bytes.min(REGION_CAP));
+    }
 }
 
 #[test]
