@@ -8,14 +8,14 @@
 
 /// Bump allocator over 4 KiB frames.
 #[derive(Debug, Clone)]
-pub struct FrameAlloc {
+pub(crate) struct FrameAlloc {
     next: u64,
     limit: u64,
 }
 
 impl FrameAlloc {
     /// Creates an allocator over `frames` 4 KiB frames.
-    pub fn new(frames: u64) -> Self {
+    pub(crate) fn new(frames: u64) -> Self {
         Self { next: 0, limit: frames }
     }
 
@@ -25,7 +25,7 @@ impl FrameAlloc {
     ///
     /// Panics when physical memory is exhausted — baseline simulations are
     /// sized so that footprints fit, and exceeding that is a harness bug.
-    pub fn frame(&mut self) -> u64 {
+    pub(crate) fn frame(&mut self) -> u64 {
         assert!(self.next < self.limit, "baseline physical memory exhausted");
         let f = self.next;
         self.next += 1;
@@ -38,7 +38,7 @@ impl FrameAlloc {
     /// # Panics
     ///
     /// Panics when physical memory is exhausted.
-    pub fn contiguous(&mut self, n: u64) -> u64 {
+    pub(crate) fn contiguous(&mut self, n: u64) -> u64 {
         let start = self.next.next_multiple_of(n);
         assert!(start + n <= self.limit, "baseline physical memory exhausted");
         self.next = start + n;
@@ -46,7 +46,8 @@ impl FrameAlloc {
     }
 
     /// Frames handed out so far (including alignment holes).
-    pub fn used(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used(&self) -> u64 {
         self.next
     }
 }

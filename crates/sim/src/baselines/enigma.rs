@@ -20,13 +20,13 @@ const PAGE_SIZE: PageSize = PageSize::Mb2;
 
 /// Result of an Enigma translation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnigmaTranslation {
+pub(crate) struct EnigmaTranslation {
     /// The physical address.
-    pub paddr: u64,
+    pub(crate) paddr: u64,
     /// Whether the CTC supplied the mapping.
-    pub ctc_hit: bool,
+    pub(crate) ctc_hit: bool,
     /// Memory accesses performed by the hardware walk (empty on CTC hits).
-    pub walk_accesses: Vec<u64>,
+    pub(crate) walk_accesses: Vec<u64>,
 }
 
 /// The Enigma memory controller: CTC + hardware-walked IA-to-physical table.
@@ -35,20 +35,8 @@ pub struct EnigmaTranslation {
 /// costs appear only at the memory controller. Unlike VBI there is no
 /// per-object structure choice: every mapping is a fixed-size page in one
 /// conventional multi-level table.
-///
-/// # Examples
-///
-/// ```
-/// use vbi_sim::baselines::enigma::EnigmaController;
-///
-/// let mut enigma = EnigmaController::new(1 << 20);
-/// let cold = enigma.translate(0x4000_0000);
-/// assert!(!cold.ctc_hit);
-/// let warm = enigma.translate(0x4000_0040);
-/// assert!(warm.ctc_hit);
-/// ```
 #[derive(Debug, Clone)]
-pub struct EnigmaController {
+pub(crate) struct EnigmaController {
     table: PageTable,
     frames: FrameAlloc,
     ctc: Tlb<u64, u64>,
@@ -56,7 +44,7 @@ pub struct EnigmaController {
 
 impl EnigmaController {
     /// Creates the `Enigma-HW-2M` configuration: 16K-entry CTC, 2 MiB pages.
-    pub fn new(phys_frames: u64) -> Self {
+    pub(crate) fn new(phys_frames: u64) -> Self {
         let mut frames = FrameAlloc::new(phys_frames);
         let table = PageTable::new(PAGE_SIZE, &mut frames);
         Self { table, frames, ctc: Tlb::new(16 * 1024, 8) }
@@ -64,7 +52,7 @@ impl EnigmaController {
 
     /// Translates an intermediate address at the memory controller,
     /// demand-allocating physical memory on first touch.
-    pub fn translate(&mut self, ia: u64) -> EnigmaTranslation {
+    pub(crate) fn translate(&mut self, ia: u64) -> EnigmaTranslation {
         let ipn = ia >> PAGE_SIZE.bits();
         let offset = ia & (PAGE_SIZE.bytes() - 1);
         if let Some(frame) = self.ctc.lookup(&ipn) {
@@ -90,19 +78,19 @@ impl EnigmaController {
 /// Allocates system-wide unique intermediate-address ranges to memory
 /// objects (Enigma's allocation-time assignment).
 #[derive(Debug, Clone, Default)]
-pub struct IaSpace {
+pub(crate) struct IaSpace {
     next: u64,
 }
 
 impl IaSpace {
     /// Creates an empty IA space.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Assigns a contiguous IA range of `bytes`, aligned to 2 MiB so large
     /// pages apply.
-    pub fn assign(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn assign(&mut self, bytes: u64) -> u64 {
         let base = self.next.next_multiple_of(2 << 20);
         self.next = base + bytes;
         base

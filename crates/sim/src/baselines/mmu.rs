@@ -12,42 +12,42 @@ use super::alloc::FrameAlloc;
 use super::page_table::{PageSize, PageTable, WalkStep};
 
 /// Latency charged when the L2 TLB (not the L1) supplies a translation.
-pub const L2_TLB_LATENCY: u64 = 7;
+pub(crate) const L2_TLB_LATENCY: u64 = 7;
 
 /// Timing-relevant events of one baseline translation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MmuEvents {
     /// The L1 TLB supplied the translation (no cost; lookup overlaps L1
     /// cache access).
-    pub l1_tlb_hit: bool,
+    pub(crate) l1_tlb_hit: bool,
     /// The L2 TLB supplied it (costs [`L2_TLB_LATENCY`]).
-    pub l2_tlb_hit: bool,
+    pub(crate) l2_tlb_hit: bool,
     /// Physical addresses of page-table entries the walker had to read
     /// (empty on TLB hits; shortened by page-walk-cache hits).
     pub walk_accesses: Vec<u64>,
     /// A page was allocated on demand (first touch).
-    pub allocated: bool,
+    pub(crate) allocated: bool,
 }
 
 /// Result of one baseline translation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MmuTranslation {
     /// The physical address.
-    pub paddr: u64,
+    pub(crate) paddr: u64,
     /// What it cost.
     pub events: MmuEvents,
 }
 
 /// The two-level TLB hierarchy of Table 1.
 #[derive(Debug, Clone)]
-pub struct TlbHierarchy {
+pub(crate) struct TlbHierarchy {
     l1: Tlb<u64, u64>,
     l2: Tlb<u64, u64>,
 }
 
 impl TlbHierarchy {
     /// Builds the hierarchy for a page size (L1 capacity differs, Table 1).
-    pub fn new(page_size: PageSize) -> Self {
+    pub(crate) fn new(page_size: PageSize) -> Self {
         let l1_entries = match page_size {
             PageSize::Kb4 => 64,
             PageSize::Mb2 => 32,
@@ -57,7 +57,7 @@ impl TlbHierarchy {
 
     /// Looks up a virtual page number. Returns the frame and which level
     /// hit.
-    pub fn lookup(&mut self, vpn: u64) -> Option<(u64, bool)> {
+    pub(crate) fn lookup(&mut self, vpn: u64) -> Option<(u64, bool)> {
         if let Some(frame) = self.l1.lookup(&vpn) {
             return Some((frame, true));
         }
@@ -70,7 +70,7 @@ impl TlbHierarchy {
     }
 
     /// Installs a translation in both levels.
-    pub fn insert(&mut self, vpn: u64, frame: u64) {
+    pub(crate) fn insert(&mut self, vpn: u64, frame: u64) {
         self.l1.insert(vpn, frame);
         self.l2.insert(vpn, frame);
     }
@@ -79,20 +79,20 @@ impl TlbHierarchy {
 /// The 32-entry fully associative page-walk cache (Table 1), caching
 /// interior page-table entries keyed by `(level, va-prefix)`.
 #[derive(Debug, Clone)]
-pub struct PageWalkCache {
+pub(crate) struct PageWalkCache {
     cache: Tlb<(u32, u64), ()>,
 }
 
 impl PageWalkCache {
     /// Creates the Table 1 configuration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { cache: Tlb::fully_associative(32) }
     }
 
     /// Given the full walk path (root first), returns the steps that must
     /// actually access memory — everything below the deepest cached interior
     /// entry — and caches the interior entries of the path.
-    pub fn filter<'a>(&mut self, steps: &'a [WalkStep]) -> &'a [WalkStep] {
+    pub(crate) fn filter<'a>(&mut self, steps: &'a [WalkStep]) -> &'a [WalkStep] {
         let interior = steps.len().saturating_sub(1);
         // Find the deepest interior step already cached.
         let mut start = 0;
@@ -117,23 +117,8 @@ impl Default for PageWalkCache {
 
 /// The complete conventional MMU with demand paging: the paper's `Native`
 /// (4 KiB) and `Native-2M` baselines.
-///
-/// # Examples
-///
-/// ```
-/// use vbi_sim::baselines::mmu::NativeMmu;
-/// use vbi_sim::baselines::page_table::PageSize;
-///
-/// let mut mmu = NativeMmu::new(PageSize::Kb4, 1 << 20);
-/// let first = mmu.translate(0x1000);
-/// assert!(first.events.allocated);
-/// assert_eq!(first.events.walk_accesses.len(), 4);
-/// let second = mmu.translate(0x1008);
-/// assert!(second.events.l1_tlb_hit);
-/// assert_eq!(second.paddr, first.paddr + 8);
-/// ```
 #[derive(Debug, Clone)]
-pub struct NativeMmu {
+pub(crate) struct NativeMmu {
     page_table: PageTable,
     tlbs: TlbHierarchy,
     pwc: PageWalkCache,
@@ -143,7 +128,7 @@ pub struct NativeMmu {
 
 impl NativeMmu {
     /// Creates an MMU with an empty address space over `phys_frames` frames.
-    pub fn new(page_size: PageSize, phys_frames: u64) -> Self {
+    pub(crate) fn new(page_size: PageSize, phys_frames: u64) -> Self {
         let mut frames = FrameAlloc::new(phys_frames);
         let page_table = PageTable::new(page_size, &mut frames);
         Self {
@@ -157,7 +142,7 @@ impl NativeMmu {
 
     /// Translates a virtual address, allocating the page on first touch
     /// (demand paging).
-    pub fn translate(&mut self, vaddr: u64) -> MmuTranslation {
+    pub(crate) fn translate(&mut self, vaddr: u64) -> MmuTranslation {
         let vpn = vaddr >> self.page_size.bits();
         let offset = vaddr & (self.page_size.bytes() - 1);
 
@@ -195,18 +180,18 @@ impl NativeMmu {
 /// always hits; pages are still demand-allocated so physical layout matches
 /// the other baselines.
 #[derive(Debug, Clone)]
-pub struct PerfectMmu {
+pub(crate) struct PerfectMmu {
     inner: NativeMmu,
 }
 
 impl PerfectMmu {
     /// Creates a perfect-TLB MMU over `phys_frames` frames.
-    pub fn new(phys_frames: u64) -> Self {
+    pub(crate) fn new(phys_frames: u64) -> Self {
         Self { inner: NativeMmu::new(PageSize::Kb4, phys_frames) }
     }
 
     /// Translates with zero translation cost.
-    pub fn translate(&mut self, vaddr: u64) -> u64 {
+    pub(crate) fn translate(&mut self, vaddr: u64) -> u64 {
         // Use the page table directly; no TLB or walk costs are reported.
         if let Some(paddr) = self.inner.page_table.translate(vaddr) {
             return paddr;
@@ -240,10 +225,11 @@ mod tests {
     #[test]
     fn tlb_hit_after_walk() {
         let mut mmu = NativeMmu::new(PageSize::Kb4, 1 << 20);
-        mmu.translate(0x1000);
+        let first = mmu.translate(0x1000);
         let t = mmu.translate(0x1800);
         assert!(t.events.l1_tlb_hit);
         assert!(t.events.walk_accesses.is_empty());
+        assert_eq!(t.paddr, first.paddr + 0x800);
     }
 
     #[test]

@@ -22,14 +22,13 @@ use super::page_table::{PageSize, PageTable};
 /// # Examples
 ///
 /// ```
-/// use vbi_sim::baselines::nested::NestedMmu;
-/// use vbi_sim::baselines::page_table::PageSize;
+/// use vbi_sim::baselines::{NestedMmu, PageSize};
 ///
 /// let mut mmu = NestedMmu::new(PageSize::Kb4, 1 << 20);
 /// let cold = mmu.translate(0x5000);
 /// // A cold 2D walk costs many more accesses than the native walk's 4.
 /// assert!(cold.events.walk_accesses.len() > 4);
-/// assert!(mmu.translate(0x5000).events.l1_tlb_hit);
+/// assert!(mmu.translate(0x5000).events.walk_accesses.is_empty(), "a TLB hit");
 /// ```
 #[derive(Debug, Clone)]
 pub struct NestedMmu {

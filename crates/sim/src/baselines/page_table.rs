@@ -21,7 +21,7 @@ pub enum PageSize {
 
 impl PageSize {
     /// log2 of the page size.
-    pub const fn bits(self) -> u32 {
+    pub(crate) const fn bits(self) -> u32 {
         match self {
             PageSize::Kb4 => 12,
             PageSize::Mb2 => 21,
@@ -29,12 +29,12 @@ impl PageSize {
     }
 
     /// Page size in bytes.
-    pub const fn bytes(self) -> u64 {
+    pub(crate) const fn bytes(self) -> u64 {
         1 << self.bits()
     }
 
     /// Number of table levels in a walk.
-    pub const fn walk_levels(self) -> u32 {
+    pub(crate) const fn walk_levels(self) -> u32 {
         match self {
             PageSize::Kb4 => 4,
             PageSize::Mb2 => 3,
@@ -45,22 +45,22 @@ impl PageSize {
 /// One step of a page walk: the table level (0 = root/PML4) and the physical
 /// address of the entry read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalkStep {
+pub(crate) struct WalkStep {
     /// Level from the root (0 = PML4).
-    pub level: u32,
+    pub(crate) level: u32,
     /// Physical address of the entry.
-    pub entry_addr: u64,
+    pub(crate) entry_addr: u64,
     /// Virtual-address prefix identifying this entry (for page-walk caches).
-    pub prefix: u64,
+    pub(crate) prefix: u64,
 }
 
 /// Result of a page walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PtWalk {
+pub(crate) struct PtWalk {
     /// The translated base frame of the page, if mapped.
-    pub frame: Option<u64>,
+    pub(crate) frame: Option<u64>,
     /// Every step of the walk, root first.
-    pub steps: Vec<WalkStep>,
+    pub(crate) steps: Vec<WalkStep>,
 }
 
 #[derive(Debug, Clone)]
@@ -81,29 +81,15 @@ impl PtNode {
 }
 
 /// A per-process page table.
-///
-/// # Examples
-///
-/// ```
-/// use vbi_sim::baselines::alloc::FrameAlloc;
-/// use vbi_sim::baselines::page_table::{PageSize, PageTable};
-///
-/// let mut frames = FrameAlloc::new(1 << 20);
-/// let mut pt = PageTable::new(PageSize::Kb4, &mut frames);
-/// pt.map(0x7fff_0000, 42, &mut frames);
-/// let walk = pt.walk(0x7fff_0123);
-/// assert_eq!(walk.frame, Some(42));
-/// assert_eq!(walk.steps.len(), 4);
-/// ```
 #[derive(Debug, Clone)]
-pub struct PageTable {
+pub(crate) struct PageTable {
     page_size: PageSize,
     root: Box<PtNode>,
 }
 
 impl PageTable {
     /// Creates an empty table, allocating the root node.
-    pub fn new(page_size: PageSize, frames: &mut FrameAlloc) -> Self {
+    pub(crate) fn new(page_size: PageSize, frames: &mut FrameAlloc) -> Self {
         let root_frame = frames.frame();
         Self { page_size, root: Box::new(PtNode::new(root_frame << 12, false)) }
     }
@@ -122,7 +108,7 @@ impl PageTable {
 
     /// Walks the table for `vaddr`, recording every entry touched. A walk of
     /// an unmapped region stops at the missing node.
-    pub fn walk(&self, vaddr: u64) -> PtWalk {
+    pub(crate) fn walk(&self, vaddr: u64) -> PtWalk {
         let levels = self.page_size.walk_levels();
         let mut steps = Vec::with_capacity(levels as usize);
         let mut node = self.root.as_ref();
@@ -152,7 +138,7 @@ impl PageTable {
     ///
     /// Panics if the mapping already exists (double map is an OS-model bug)
     /// or a 2 MiB frame is misaligned.
-    pub fn map(&mut self, vaddr: u64, frame: u64, frames: &mut FrameAlloc) {
+    pub(crate) fn map(&mut self, vaddr: u64, frame: u64, frames: &mut FrameAlloc) {
         if self.page_size == PageSize::Mb2 {
             assert_eq!(frame % 512, 0, "2 MiB pages need 512-frame alignment");
         }
@@ -175,12 +161,12 @@ impl PageTable {
     }
 
     /// Whether the page containing `vaddr` is mapped.
-    pub fn is_mapped(&self, vaddr: u64) -> bool {
+    pub(crate) fn is_mapped(&self, vaddr: u64) -> bool {
         self.walk(vaddr).frame.is_some()
     }
 
     /// Translates a full virtual address to a physical address, if mapped.
-    pub fn translate(&self, vaddr: u64) -> Option<u64> {
+    pub(crate) fn translate(&self, vaddr: u64) -> Option<u64> {
         let frame = self.walk(vaddr).frame?;
         Some((frame << 12) + (vaddr & (self.page_size.bytes() - 1)))
     }

@@ -12,9 +12,6 @@ use crate::workloads::trace::WorkloadSpec;
 
 use crate::systems::{build_system, SystemCounters, SystemKind};
 
-/// Issue width of the modelled core (Table 1: 4-wide OOO).
-pub const ISSUE_WIDTH: u64 = 4;
-
 /// Engine parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -34,20 +31,13 @@ impl Default for EngineConfig {
     }
 }
 
-impl EngineConfig {
-    /// A faster configuration for smoke tests.
-    pub fn quick() -> Self {
-        Self { accesses: 20_000, warmup: 2_000, ..Self::default() }
-    }
-}
-
 /// Result of one single-core run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Benchmark name.
-    pub workload: &'static str,
+    pub(crate) workload: &'static str,
     /// System configuration.
-    pub system: SystemKind,
+    pub(crate) system: SystemKind,
     /// Instructions committed (memory + non-memory).
     pub instructions: u64,
     /// Total cycles.
@@ -176,7 +166,7 @@ mod tests {
     fn ipc_is_bounded_by_issue_width() {
         let spec = benchmark("namd").unwrap();
         let r = run(SystemKind::PerfectTlb, &spec, &quick());
-        assert!(r.ipc() <= ISSUE_WIDTH as f64 + 1e-9);
+        assert!(r.ipc() <= 4.0 + 1e-9, "Table 1's core is 4-wide");
         assert!(r.ipc() > 0.1);
     }
 }

@@ -23,9 +23,8 @@ const SWAP_REGION: usize = 0;
 /// [`HeteroMemory`] slow tier.
 ///
 /// ```
-/// use vbi_sim::hetero::backend::SlowTierBackend;
 /// use vbi_core::swap::PressureBackend;
-/// use vbi_sim::hetero::memory::HeteroKind;
+/// use vbi_sim::hetero::{HeteroKind, SlowTierBackend};
 ///
 /// let mut tier = SlowTierBackend::new(HeteroKind::PcmDram, Some(2));
 /// let a = tier.try_store(Box::new([1u8; 4096])).expect("capacity left");

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// Epoch-based access counters at VB and page granularity.
 #[derive(Debug, Clone, Default)]
-pub struct HotnessTracker {
+pub(crate) struct HotnessTracker {
     region_counts: HashMap<usize, u64>,
     page_counts: HashMap<(usize, u64), u64>,
     region_bytes: HashMap<usize, u64>,
@@ -20,37 +20,32 @@ pub struct HotnessTracker {
 
 impl HotnessTracker {
     /// Creates an empty tracker.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers a region and its size (needed for density ranking).
-    pub fn register_region(&mut self, region: usize, bytes: u64) {
+    pub(crate) fn register_region(&mut self, region: usize, bytes: u64) {
         self.region_bytes.insert(region, bytes);
     }
 
     /// Records one main-memory access to `page` of `region`.
-    pub fn record(&mut self, region: usize, page: u64) {
+    pub(crate) fn record(&mut self, region: usize, page: u64) {
         *self.region_counts.entry(region).or_insert(0) += 1;
         *self.page_counts.entry((region, page)).or_insert(0) += 1;
         self.epoch_accesses += 1;
     }
 
     /// Accesses recorded this epoch.
-    pub fn epoch_accesses(&self) -> u64 {
+    pub(crate) fn epoch_accesses(&self) -> u64 {
         self.epoch_accesses
-    }
-
-    /// Access count of a region this epoch.
-    pub fn region_count(&self, region: usize) -> u64 {
-        self.region_counts.get(&region).copied().unwrap_or(0)
     }
 
     /// Regions ranked by access *density* (accesses per byte, hottest
     /// first). Density, not raw count, is the right VB-granularity metric:
     /// a small, hot VB displaces less fast-memory capacity per access than
     /// a huge, lukewarm one.
-    pub fn rank_regions_by_density(&self) -> Vec<(usize, f64)> {
+    pub(crate) fn rank_regions_by_density(&self) -> Vec<(usize, f64)> {
         let mut ranked: Vec<(usize, f64)> = self
             .region_counts
             .iter()
@@ -64,7 +59,7 @@ impl HotnessTracker {
     }
 
     /// Pages ranked by access count (hottest first) — the oracle's view.
-    pub fn rank_pages(&self) -> Vec<((usize, u64), u64)> {
+    pub(crate) fn rank_pages(&self) -> Vec<((usize, u64), u64)> {
         let mut ranked: Vec<((usize, u64), u64)> =
             self.page_counts.iter().map(|(&k, &v)| (k, v)).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -72,12 +67,12 @@ impl HotnessTracker {
     }
 
     /// Registered size of a region in bytes.
-    pub fn region_bytes(&self, region: usize) -> u64 {
+    pub(crate) fn region_bytes(&self, region: usize) -> u64 {
         self.region_bytes.get(&region).copied().unwrap_or(0)
     }
 
     /// Ends the epoch: clears counters but keeps region registrations.
-    pub fn new_epoch(&mut self) {
+    pub(crate) fn new_epoch(&mut self) {
         self.region_counts.clear();
         self.page_counts.clear();
         self.epoch_accesses = 0;
@@ -95,7 +90,7 @@ mod tests {
         t.record(0, 0);
         t.record(0, 0);
         t.record(0, 1);
-        assert_eq!(t.region_count(0), 3);
+        assert_eq!(t.rank_regions_by_density(), vec![(0, 3.0 / 4096.0)]);
         assert_eq!(t.epoch_accesses(), 3);
     }
 
@@ -133,7 +128,7 @@ mod tests {
         t.register_region(0, 4096);
         t.record(0, 0);
         t.new_epoch();
-        assert_eq!(t.region_count(0), 0);
+        assert!(t.rank_regions_by_density().is_empty());
         assert_eq!(t.region_bytes(0), 4096);
     }
 }

@@ -17,8 +17,8 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::mem::cache::LINE_BYTES;
 use crate::mem::controller::{HybridMemory, TlDramController};
-use crate::mem::LINE_BYTES;
 
 use super::hotness::HotnessTracker;
 
@@ -65,13 +65,13 @@ impl std::fmt::Debug for DeviceImpl {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeteroStats {
     /// Accesses served from the fast region.
-    pub fast_accesses: u64,
+    pub(crate) fast_accesses: u64,
     /// Accesses served from the slow region.
-    pub slow_accesses: u64,
+    pub(crate) slow_accesses: u64,
     /// Pages migrated between regions.
     pub pages_migrated: u64,
     /// Cycles spent on migration traffic.
-    pub migration_cycles: u64,
+    pub(crate) migration_cycles: u64,
 }
 
 impl HeteroStats {
@@ -185,7 +185,7 @@ impl HeteroMemory {
     /// Installs the oracle's page set (hottest pages first-fit into fast
     /// capacity), for [`Policy::Ideal`]. Typically produced by a profiling
     /// run's [`HotnessTracker::rank_pages`].
-    pub fn set_oracle(&mut self, ranked_pages: &[((usize, u64), u64)]) {
+    pub(crate) fn set_oracle(&mut self, ranked_pages: &[((usize, u64), u64)]) {
         let capacity_pages = self.fast_bytes / PAGE_BYTES;
         self.oracle_fast =
             ranked_pages.iter().take(capacity_pages as usize).map(|(k, _)| *k).collect();

@@ -6,11 +6,11 @@
 //! main-memory access, VBI can track hotness at VB granularity and migrate
 //! VBs without OS involvement.
 //!
-//! * [`hotness`] — the MTL's per-VB and per-page access counters;
+//! * `hotness` — the MTL's per-VB and per-page access counters;
 //! * [`memory`] — PCM-DRAM hybrid and TL-DRAM memories with three placement
 //!   policies: hotness-unaware (baseline), VBI hotness-driven migration,
 //!   and an IDEAL page-placement oracle;
-//! * [`backend`] — a slow-tier `PressureBackend` that prices the MTL's
+//! * `backend` ([`SlowTierBackend`]) — a slow-tier `PressureBackend` that prices the MTL's
 //!   eviction / fault-in traffic with the [`memory`] latency model (§3.4).
 //!
 //! ```
@@ -22,10 +22,9 @@
 //! assert!(cycles > 0);
 //! ```
 
-pub mod backend;
-pub mod hotness;
+pub(crate) mod backend;
+pub(crate) mod hotness;
 pub mod memory;
 
 pub use backend::SlowTierBackend;
-pub use hotness::HotnessTracker;
-pub use memory::{HeteroKind, HeteroMemory, HeteroStats, Policy, PAGE_BYTES};
+pub use memory::HeteroKind;

@@ -18,24 +18,20 @@ use crate::engine::EngineConfig;
 #[derive(Debug, Clone)]
 pub struct HeteroRunResult {
     /// Benchmark name.
-    pub workload: &'static str,
+    pub(crate) workload: &'static str,
     /// Architecture.
-    pub kind: HeteroKind,
-    /// Placement policy.
-    pub policy: Policy,
+    pub(crate) kind: HeteroKind,
     /// Instructions committed.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Total cycles.
     pub cycles: u64,
     /// Fraction of main-memory accesses served by the fast region.
     pub fast_fraction: f64,
-    /// Pages migrated.
-    pub pages_migrated: u64,
 }
 
 impl HeteroRunResult {
     /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
+    pub(crate) fn ipc(&self) -> f64 {
         self.instructions as f64 / self.cycles.max(1) as f64
     }
 
@@ -51,7 +47,7 @@ impl HeteroRunResult {
 /// smaller than the workload footprints (as in the paper, where DRAM is a
 /// small fraction of PCM and TL-DRAM's near segment a small fraction of each
 /// subarray), so placement quality actually matters.
-pub fn fast_bytes_for(kind: HeteroKind) -> u64 {
+pub(crate) fn fast_bytes_for(kind: HeteroKind) -> u64 {
     match kind {
         // A DRAM cache-like fast region in front of PCM.
         HeteroKind::PcmDram => 128 << 20,
@@ -63,7 +59,7 @@ pub fn fast_bytes_for(kind: HeteroKind) -> u64 {
 }
 
 /// Epoch length (main-memory accesses between placement decisions).
-pub const EPOCH_ACCESSES: u64 = 10_000;
+pub(crate) const EPOCH_ACCESSES: u64 = 10_000;
 
 /// Runs one workload on a heterogeneous memory under `policy`.
 pub fn run_hetero(
@@ -132,11 +128,9 @@ pub fn run_hetero(
     HeteroRunResult {
         workload: spec.name,
         kind,
-        policy,
         instructions,
         cycles: (cycles_x4 / 4).max(1),
         fast_fraction: stats.fast_fraction(),
-        pages_migrated: stats.pages_migrated,
     }
 }
 

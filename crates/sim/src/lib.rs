@@ -30,7 +30,7 @@
 //! use vbi_sim::workloads::spec::benchmark;
 //!
 //! let spec = benchmark("mcf").expect("known");
-//! let cfg = EngineConfig::quick();
+//! let cfg = EngineConfig { accesses: 20_000, warmup: 2_000, ..EngineConfig::default() };
 //! let native = run(SystemKind::Native, &spec, &cfg);
 //! let vbi = run(SystemKind::VbiFull, &spec, &cfg);
 //! println!("VBI-Full speedup on mcf: {:.2}x", vbi.speedup_over(&native));
@@ -45,9 +45,3 @@ pub mod multicore;
 pub mod report;
 pub mod systems;
 pub mod workloads;
-
-pub use engine::{run, EngineConfig, RunResult};
-pub use hetero_run::{run_hetero, HeteroRunResult};
-pub use multicore::{run_alone_native, run_bundle, BundleResult};
-pub use report::{geomean, mean, SpeedupTable};
-pub use systems::{build_system, Machine, SystemKind};

@@ -6,18 +6,7 @@
 //! and it behaves as the conventional PIPT cache of the baselines.
 
 /// Cache line size in bytes (64 B throughout the paper's configuration).
-pub const LINE_BYTES: u64 = 64;
-
-/// Statistics for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Dirty lines written back on eviction.
-    pub dirty_evictions: u64,
-}
+pub(crate) const LINE_BYTES: u64 = 64;
 
 #[derive(Debug, Clone, Copy)]
 struct Line {
@@ -28,32 +17,20 @@ struct Line {
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheAccess {
+pub(crate) struct CacheAccess {
     /// Whether the line was present.
-    pub hit: bool,
+    pub(crate) hit: bool,
     /// Line address (not tag) of a dirty line evicted to make room, if any.
-    pub writeback: Option<u64>,
+    pub(crate) writeback: Option<u64>,
 }
 
 /// A set-associative cache with true-LRU replacement.
-///
-/// # Examples
-///
-/// ```
-/// use vbi_sim::mem::cache::Cache;
-///
-/// let mut l1 = Cache::new(32 << 10, 8); // 32 KiB, 8-way (Table 1 L1)
-/// assert!(!l1.access(0x1000, false).hit); // cold miss
-/// assert!(l1.access(0x1000, false).hit);  // now resident
-/// assert!(l1.access(0x1004, false).hit);  // same 64 B line
-/// ```
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     sets: Vec<Vec<Line>>,
     ways: usize,
     set_bits: u32,
     tick: u64,
-    stats: CacheStats,
 }
 
 impl Cache {
@@ -64,7 +41,7 @@ impl Cache {
     ///
     /// Panics unless `capacity_bytes / (64 * ways)` is a nonzero power of
     /// two.
-    pub fn new(capacity_bytes: u64, ways: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: u64, ways: usize) -> Self {
         let lines = capacity_bytes / LINE_BYTES;
         let set_count = lines / ways as u64;
         assert!(
@@ -76,13 +53,7 @@ impl Cache {
             ways,
             set_bits: set_count.trailing_zeros(),
             tick: 0,
-            stats: CacheStats::default(),
         }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.sets.len() as u64 * self.ways as u64 * LINE_BYTES
     }
 
     fn split(&self, addr: u64) -> (usize, u64) {
@@ -98,7 +69,7 @@ impl Cache {
 
     /// Accesses `addr`; on a miss the line is allocated (write-allocate) and
     /// the LRU victim evicted. `write` marks the line dirty.
-    pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
+    pub(crate) fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
         self.tick += 1;
         let tick = self.tick;
         let (set_idx, tag) = self.split(addr);
@@ -108,10 +79,8 @@ impl Cache {
         if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
             line.lru = tick;
             line.dirty |= write;
-            self.stats.hits += 1;
             return CacheAccess { hit: true, writeback: None };
         }
-        self.stats.misses += 1;
 
         if set.len() < ways {
             set.push(Line { tag, dirty: write, lru: tick });
@@ -125,24 +94,8 @@ impl Cache {
             .expect("full set has a victim");
         let victim =
             core::mem::replace(&mut set[victim_idx], Line { tag, dirty: write, lru: tick });
-        let writeback = if victim.dirty {
-            self.stats.dirty_evictions += 1;
-            Some(self.line_addr(set_idx, victim.tag))
-        } else {
-            None
-        };
+        let writeback = victim.dirty.then(|| self.line_addr(set_idx, victim.tag));
         CacheAccess { hit: false, writeback }
-    }
-
-    /// Looks up `addr` without allocating on miss (probe).
-    pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.split(addr);
-        self.sets[set].iter().any(|l| l.tag == tag)
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -150,14 +103,15 @@ impl Cache {
 mod tests {
     use super::*;
 
+    fn capacity_bytes(cache: &Cache) -> u64 {
+        cache.sets.len() as u64 * cache.ways as u64 * LINE_BYTES
+    }
+
     #[test]
     fn geometry_matches_table1() {
-        let l1 = Cache::new(32 << 10, 8);
-        assert_eq!(l1.capacity_bytes(), 32 << 10);
-        let l2 = Cache::new(256 << 10, 8);
-        assert_eq!(l2.capacity_bytes(), 256 << 10);
-        let llc = Cache::new(8 << 20, 16);
-        assert_eq!(llc.capacity_bytes(), 8 << 20);
+        assert_eq!(capacity_bytes(&Cache::new(32 << 10, 8)), 32 << 10);
+        assert_eq!(capacity_bytes(&Cache::new(256 << 10, 8)), 256 << 10);
+        assert_eq!(capacity_bytes(&Cache::new(8 << 20, 16)), 8 << 20);
     }
 
     #[test]
@@ -177,7 +131,6 @@ mod tests {
         let access = c.access(128, false);
         assert!(!access.hit);
         assert_eq!(access.writeback, Some(0));
-        assert_eq!(c.stats().dirty_evictions, 1);
     }
 
     #[test]
@@ -195,9 +148,9 @@ mod tests {
         c.access(64, false);
         c.access(0, false); // 64 becomes LRU
         c.access(128, false); // evicts 64
-        assert!(c.probe(0));
-        assert!(!c.probe(64));
-        assert!(c.probe(128));
+        assert!(c.access(0, false).hit); // 128 becomes LRU
+        assert!(c.access(128, false).hit);
+        assert!(!c.access(64, false).hit);
     }
 
     #[test]
@@ -207,17 +160,6 @@ mod tests {
         c.access(0, true); // hit, dirtied
         let access = c.access(128, false);
         assert_eq!(access.writeback, Some(0));
-    }
-
-    #[test]
-    fn stats_track_rates() {
-        let mut c = Cache::new(4 << 10, 4);
-        c.access(0, false);
-        c.access(0, false);
-        c.access(0, false);
-        c.access(64, false);
-        assert_eq!(c.stats().hits, 2);
-        assert_eq!(c.stats().misses, 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use super::timing::DeviceTiming;
 /// A single-device memory controller (the Table 1 configuration: one
 /// channel, one rank, eight banks, open-page policy).
 #[derive(Debug, Clone)]
-pub struct MemoryController {
+pub(crate) struct MemoryController {
     device: Device,
     /// Fixed controller overhead per request (queueing, scheduling), in CPU
     /// cycles.
@@ -15,24 +15,24 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// Creates a controller over a device with the given timings.
-    pub fn new(timing: DeviceTiming) -> Self {
+    pub(crate) fn new(timing: DeviceTiming) -> Self {
         Self { device: Device::new(timing, AddressMapping::default()), overhead: 10 }
     }
 
     /// DDR3-1600 controller.
-    pub fn ddr3_1600() -> Self {
+    pub(crate) fn ddr3_1600() -> Self {
         Self::new(DeviceTiming::ddr3_1600())
     }
 
     /// Serves one line request, returning latency in CPU cycles.
-    pub fn service(&mut self, addr: u64) -> u64 {
+    pub(crate) fn service(&mut self, addr: u64) -> u64 {
         self.overhead + self.device.access(addr)
     }
 }
 
 /// Which technology served a hybrid-memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HybridRegion {
+pub(crate) enum HybridRegion {
     /// The small, fast DRAM region.
     Dram,
     /// The large, slow PCM region.
@@ -44,19 +44,8 @@ pub enum HybridRegion {
 ///
 /// The physical address space is split: addresses below `dram_bytes` are
 /// DRAM, the rest PCM. Placement/migration policy lives in `vbi-hetero`.
-///
-/// # Examples
-///
-/// ```
-/// use vbi_sim::mem::controller::{HybridMemory, HybridRegion};
-///
-/// let mut mem = HybridMemory::new(64 << 20);
-/// assert_eq!(mem.region_of(0), HybridRegion::Dram);
-/// assert_eq!(mem.region_of(1 << 30), HybridRegion::Pcm);
-/// assert!(mem.service(0) < mem.service(1 << 30));
-/// ```
 #[derive(Debug, Clone)]
-pub struct HybridMemory {
+pub(crate) struct HybridMemory {
     dram: Device,
     pcm: Device,
     dram_bytes: u64,
@@ -66,7 +55,7 @@ pub struct HybridMemory {
 impl HybridMemory {
     /// Creates a hybrid memory whose first `dram_bytes` of the address space
     /// are DRAM.
-    pub fn new(dram_bytes: u64) -> Self {
+    pub(crate) fn new(dram_bytes: u64) -> Self {
         Self {
             dram: Device::new(DeviceTiming::ddr3_1600(), AddressMapping::default()),
             pcm: Device::new(DeviceTiming::pcm_800(), AddressMapping::default()),
@@ -76,7 +65,7 @@ impl HybridMemory {
     }
 
     /// The region an address belongs to.
-    pub fn region_of(&self, addr: u64) -> HybridRegion {
+    pub(crate) fn region_of(&self, addr: u64) -> HybridRegion {
         if addr < self.dram_bytes {
             HybridRegion::Dram
         } else {
@@ -85,7 +74,7 @@ impl HybridMemory {
     }
 
     /// Serves one line request from the owning region.
-    pub fn service(&mut self, addr: u64) -> u64 {
+    pub(crate) fn service(&mut self, addr: u64) -> u64 {
         self.overhead
             + match self.region_of(addr) {
                 HybridRegion::Dram => self.dram.access(addr),
@@ -96,7 +85,7 @@ impl HybridMemory {
 
 /// A TL-DRAM main memory controller (§7.3).
 #[derive(Debug, Clone)]
-pub struct TlDramController {
+pub(crate) struct TlDramController {
     device: TlDram,
     overhead: u64,
 }
@@ -104,17 +93,12 @@ pub struct TlDramController {
 impl TlDramController {
     /// Creates a controller whose first `near_bytes` of the address space
     /// are the near (fast) segment.
-    pub fn new(near_bytes: u64) -> Self {
+    pub(crate) fn new(near_bytes: u64) -> Self {
         Self { device: TlDram::new(near_bytes), overhead: 10 }
     }
 
-    /// Whether an address is in the near segment.
-    pub fn is_near(&self, addr: u64) -> bool {
-        self.device.is_near(addr)
-    }
-
     /// Serves one line request.
-    pub fn service(&mut self, addr: u64) -> u64 {
+    pub(crate) fn service(&mut self, addr: u64) -> u64 {
         self.overhead + self.device.access(addr)
     }
 }
@@ -156,6 +140,5 @@ mod tests {
         let near = t.service(0);
         let far = t.service(4 << 20);
         assert!(near < far);
-        assert!(t.is_near(0) && !t.is_near(4 << 20));
     }
 }

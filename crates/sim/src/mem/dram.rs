@@ -13,11 +13,11 @@ use super::timing::DeviceTiming;
 /// Row size 8 KiB (open-page row buffer), banks interleaved on row-sized
 /// blocks so sequential streams hit the row buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddressMapping {
+pub(crate) struct AddressMapping {
     /// Number of banks (8 per Table 1).
-    pub banks: usize,
+    pub(crate) banks: usize,
     /// Bytes per row (row-buffer size).
-    pub row_bytes: u64,
+    pub(crate) row_bytes: u64,
 }
 
 impl Default for AddressMapping {
@@ -33,7 +33,7 @@ impl AddressMapping {
     /// bank index is XORed with low row bits — so that power-of-two-aligned
     /// regions (e.g. the MTL's 128 MiB reservations) do not all collapse
     /// into one bank.
-    pub fn decode(&self, addr: u64) -> (usize, u64) {
+    pub(crate) fn decode(&self, addr: u64) -> (usize, u64) {
         let block = addr / self.row_bytes;
         let row = block / self.banks as u64;
         // Fold several row-bit groups into the bank index so that any
@@ -44,103 +44,30 @@ impl AddressMapping {
     }
 }
 
-/// Row-buffer outcome of one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowBufferOutcome {
-    /// The requested row was already open.
-    Hit,
-    /// The bank was idle (no open row).
-    Closed,
-    /// Another row was open and had to be precharged.
-    Conflict,
-}
-
-/// Per-device statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Total accesses served.
-    pub accesses: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row conflicts (precharge required).
-    pub row_conflicts: u64,
-}
-
 /// One memory device: a set of banks with open-row state.
-///
-/// # Examples
-///
-/// ```
-/// use vbi_sim::mem::dram::{Device, AddressMapping};
-/// use vbi_sim::mem::timing::DeviceTiming;
-///
-/// let mut dram = Device::new(DeviceTiming::ddr3_1600(), AddressMapping::default());
-/// let first = dram.access(0);          // closed bank: activate + CAS
-/// let second = dram.access(64);        // same row: CAS only
-/// assert!(second < first);
-/// ```
 #[derive(Debug, Clone)]
-pub struct Device {
+pub(crate) struct Device {
     timing: DeviceTiming,
     mapping: AddressMapping,
     open_rows: Vec<Option<u64>>,
-    stats: DeviceStats,
 }
 
 impl Device {
     /// Creates a device with every bank idle.
-    pub fn new(timing: DeviceTiming, mapping: AddressMapping) -> Self {
-        Self {
-            timing,
-            mapping,
-            open_rows: vec![None; mapping.banks],
-            stats: DeviceStats::default(),
-        }
-    }
-
-    /// The device's command timings.
-    pub fn timing(&self) -> DeviceTiming {
-        self.timing
-    }
-
-    /// Classifies an access without serving it.
-    pub fn probe(&self, addr: u64) -> RowBufferOutcome {
-        let (bank, row) = self.mapping.decode(addr);
-        match self.open_rows[bank] {
-            Some(open) if open == row => RowBufferOutcome::Hit,
-            Some(_) => RowBufferOutcome::Conflict,
-            None => RowBufferOutcome::Closed,
-        }
+    pub(crate) fn new(timing: DeviceTiming, mapping: AddressMapping) -> Self {
+        Self { timing, mapping, open_rows: vec![None; mapping.banks] }
     }
 
     /// Serves an access, updating bank state, and returns its latency in CPU
     /// cycles.
-    pub fn access(&mut self, addr: u64) -> u64 {
+    pub(crate) fn access(&mut self, addr: u64) -> u64 {
         let (bank, row) = self.mapping.decode(addr);
-        let outcome = match self.open_rows[bank] {
-            Some(open) if open == row => RowBufferOutcome::Hit,
-            Some(_) => RowBufferOutcome::Conflict,
-            None => RowBufferOutcome::Closed,
-        };
-        self.open_rows[bank] = Some(row); // open-page policy keeps it open
-        let cycles = match outcome {
-            RowBufferOutcome::Hit => {
-                self.stats.row_hits += 1;
-                self.timing.row_hit_cycles()
-            }
-            RowBufferOutcome::Closed => self.timing.row_closed_cycles(),
-            RowBufferOutcome::Conflict => {
-                self.stats.row_conflicts += 1;
-                self.timing.row_conflict_cycles()
-            }
-        };
-        self.stats.accesses += 1;
-        cycles
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> DeviceStats {
-        self.stats
+        // Open-page policy: the row stays open after the access.
+        match self.open_rows[bank].replace(row) {
+            Some(open) if open == row => self.timing.row_hit_cycles(),
+            Some(_) => self.timing.row_conflict_cycles(),
+            None => self.timing.row_closed_cycles(),
+        }
     }
 }
 
@@ -150,7 +77,7 @@ impl Device {
 /// The boundary is expressed as a fraction of the physical address space:
 /// addresses below `near_bytes` live in the near segment.
 #[derive(Debug, Clone)]
-pub struct TlDram {
+pub(crate) struct TlDram {
     near: Device,
     far: Device,
     near_bytes: u64,
@@ -159,7 +86,7 @@ pub struct TlDram {
 impl TlDram {
     /// Creates a TL-DRAM with the first `near_bytes` of the address space in
     /// the near segment.
-    pub fn new(near_bytes: u64) -> Self {
+    pub(crate) fn new(near_bytes: u64) -> Self {
         Self {
             near: Device::new(DeviceTiming::tldram_near(), AddressMapping::default()),
             far: Device::new(DeviceTiming::tldram_far(), AddressMapping::default()),
@@ -168,12 +95,12 @@ impl TlDram {
     }
 
     /// Whether an address falls in the near (fast) segment.
-    pub fn is_near(&self, addr: u64) -> bool {
+    pub(crate) fn is_near(&self, addr: u64) -> bool {
         addr < self.near_bytes
     }
 
     /// Serves an access from the segment owning `addr`.
-    pub fn access(&mut self, addr: u64) -> u64 {
+    pub(crate) fn access(&mut self, addr: u64) -> u64 {
         if self.is_near(addr) {
             self.near.access(addr)
         } else {
@@ -207,10 +134,9 @@ mod tests {
     fn row_hit_closed_conflict_latencies() {
         let mut d = dram();
         let mapping = AddressMapping::default();
-        let closed = d.access(0);
-        assert_eq!(closed, d.timing().row_closed_cycles());
-        let hit = d.access(4096);
-        assert_eq!(hit, d.timing().row_hit_cycles());
+        let timing = DeviceTiming::ddr3_1600();
+        assert_eq!(d.access(0), timing.row_closed_cycles());
+        assert_eq!(d.access(4096), timing.row_hit_cycles());
         // Find an address in the same bank as address 0 but a different row.
         let (bank0, row0) = mapping.decode(0);
         let conflict_addr = (1..1000u64)
@@ -220,41 +146,29 @@ mod tests {
                 b == bank0 && r != row0
             })
             .expect("some address conflicts with row 0");
-        let conflict = d.access(conflict_addr);
-        assert_eq!(conflict, d.timing().row_conflict_cycles());
-        assert_eq!(d.stats().accesses, 3);
-        assert_eq!(d.stats().row_hits, 1);
-        assert_eq!(d.stats().row_conflicts, 1);
+        assert_eq!(d.access(conflict_addr), timing.row_conflict_cycles());
     }
 
     #[test]
     fn sequential_streams_enjoy_row_hits() {
         let mut d = dram();
-        for addr in (0..(8 << 10)).step_by(64) {
-            d.access(addr);
-        }
+        let hit = DeviceTiming::ddr3_1600().row_hit_cycles();
+        let hits = (0..(8 << 10)).step_by(64).filter(|&addr| d.access(addr) == hit).count();
         // One activate, 127 row hits.
-        assert_eq!(d.stats().row_hits, 127);
+        assert_eq!(hits, 127);
     }
 
     #[test]
     fn random_accesses_conflict_often() {
         let mut d = dram();
+        let hit = DeviceTiming::ddr3_1600().row_hit_cycles();
         let mut addr = 12345u64;
+        let mut hits = 0;
         for _ in 0..1000 {
             addr = addr.wrapping_mul(6364136223846793005).wrapping_add(1);
-            d.access(addr % (1 << 30));
+            hits += usize::from(d.access(addr % (1 << 30)) == hit);
         }
-        assert!(d.stats().row_hits < 100, "{} row hits in 1000", d.stats().row_hits);
-    }
-
-    #[test]
-    fn probe_does_not_change_state() {
-        let mut d = dram();
-        d.access(0);
-        assert_eq!(d.probe(64), RowBufferOutcome::Hit);
-        assert_eq!(d.probe(64), RowBufferOutcome::Hit);
-        assert_eq!(d.stats().accesses, 1);
+        assert!(hits < 100, "{hits} row hits in 1000");
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! caller, because under VBI those are precisely the events that trigger
 //! physical memory allocation (§5.1).
 
-use super::cache::{Cache, CacheStats};
+use super::cache::Cache;
 use super::timing::CacheTiming;
 
 /// Where in the hierarchy an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitLevel {
+pub(crate) enum HitLevel {
     /// L1 hit.
     L1,
     /// L2 hit.
@@ -24,30 +24,18 @@ pub enum HitLevel {
 
 /// Result of one hierarchy access.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierarchyAccess {
+pub(crate) struct HierarchyAccess {
     /// Where the line was found.
-    pub level: HitLevel,
+    pub(crate) level: HitLevel,
     /// Cycles spent reaching that level (memory service time excluded).
-    pub latency: u64,
+    pub(crate) latency: u64,
     /// Dirty lines evicted from the LLC by this access (line addresses).
-    pub llc_writebacks: Vec<u64>,
+    pub(crate) llc_writebacks: Vec<u64>,
 }
 
 /// A three-level cache hierarchy.
-///
-/// # Examples
-///
-/// ```
-/// use vbi_sim::mem::hierarchy::{CacheHierarchy, HitLevel};
-///
-/// let mut caches = CacheHierarchy::per_core_default();
-/// let first = caches.access(0x4000, false);
-/// assert_eq!(first.level, HitLevel::Memory);
-/// let second = caches.access(0x4000, false);
-/// assert_eq!(second.level, HitLevel::L1);
-/// ```
 #[derive(Debug, Clone)]
-pub struct CacheHierarchy {
+pub(crate) struct CacheHierarchy {
     l1: Cache,
     l2: Cache,
     llc: Cache,
@@ -56,13 +44,13 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Builds a hierarchy with explicit cache geometries.
-    pub fn new(l1: Cache, l2: Cache, llc: Cache, timing: CacheTiming) -> Self {
+    pub(crate) fn new(l1: Cache, l2: Cache, llc: Cache, timing: CacheTiming) -> Self {
         Self { l1, l2, llc, timing }
     }
 
     /// The paper's per-core configuration: 32 KiB/8w L1, 256 KiB/8w L2,
     /// 2 MiB/16w LLC slice.
-    pub fn per_core_default() -> Self {
+    pub(crate) fn per_core_default() -> Self {
         Self::new(
             Cache::new(32 << 10, 8),
             Cache::new(256 << 10, 8),
@@ -73,7 +61,7 @@ impl CacheHierarchy {
 
     /// Accesses the hierarchy. Fills every level on the way back (inclusive
     /// allocation) and propagates dirty evictions downward.
-    pub fn access(&mut self, addr: u64, write: bool) -> HierarchyAccess {
+    pub(crate) fn access(&mut self, addr: u64, write: bool) -> HierarchyAccess {
         let mut llc_writebacks = Vec::new();
         let t = self.timing;
 
@@ -115,11 +103,6 @@ impl CacheHierarchy {
             };
         }
         HierarchyAccess { level: HitLevel::Memory, latency: t.l1 + t.l2 + t.llc, llc_writebacks }
-    }
-
-    /// Per-level statistics `(l1, l2, llc)`.
-    pub fn stats(&self) -> (CacheStats, CacheStats, CacheStats) {
-        (self.l1.stats(), self.l2.stats(), self.llc.stats())
     }
 }
 
@@ -174,7 +157,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(h.access(0x40, false).level, HitLevel::L1);
         }
-        let (l1, _, _) = h.stats();
-        assert_eq!(l1.hits, 100);
     }
 }

@@ -3,38 +3,19 @@
 //! Models the parts of the machine below the core and above the DIMMs, with
 //! the exact structure sizes and timings of the paper's Table 1:
 //!
-//! * [`cache`] — a set-associative, write-back cache usable as VIVT (fed VBI
+//! * `cache` — a set-associative, write-back cache usable as VIVT (fed VBI
 //!   addresses) or PIPT (fed physical addresses);
-//! * [`hierarchy`] — the L1/L2/LLC stack with dirty-eviction propagation
+//! * `hierarchy` — the L1/L2/LLC stack with dirty-eviction propagation
 //!   (dirty LLC evictions are first-class results, because they trigger
 //!   delayed allocation under VBI);
-//! * [`dram`] — bank + row-buffer models for DDR3-1600, PCM-800, and
+//! * `dram` — bank + row-buffer models for DDR3-1600, PCM-800, and
 //!   TL-DRAM's near/far segments;
-//! * [`controller`] — homogeneous, PCM-DRAM hybrid, and TL-DRAM memory
+//! * `controller` — homogeneous, PCM-DRAM hybrid, and TL-DRAM memory
 //!   controllers;
 //! * [`timing`] — Table 1 latencies in one place.
-//!
-//! ```
-//! use vbi_sim::mem::hierarchy::{CacheHierarchy, HitLevel};
-//! use vbi_sim::mem::controller::MemoryController;
-//!
-//! let mut caches = CacheHierarchy::per_core_default();
-//! let mut memory = MemoryController::ddr3_1600();
-//!
-//! let access = caches.access(0xdead_beef, false);
-//! let cycles = access.latency
-//!     + if access.level == HitLevel::Memory { memory.service(0xdead_beef) } else { 0 };
-//! assert!(cycles > 43);
-//! ```
 
-pub mod cache;
-pub mod controller;
-pub mod dram;
-pub mod hierarchy;
+pub(crate) mod cache;
+pub(crate) mod controller;
+pub(crate) mod dram;
+pub(crate) mod hierarchy;
 pub mod timing;
-
-pub use cache::{Cache, CacheStats, LINE_BYTES};
-pub use controller::{HybridMemory, HybridRegion, MemoryController, TlDramController};
-pub use dram::{AddressMapping, Device, DeviceStats, RowBufferOutcome, TlDram};
-pub use hierarchy::{CacheHierarchy, HierarchyAccess, HitLevel};
-pub use timing::{CacheTiming, DeviceTiming};

@@ -33,9 +33,9 @@ pub struct DeviceTiming {
     /// Activate-to-activate delay between banks (post-precharge).
     pub t_rrd_pre: u64,
     /// Column access (CAS) latency.
-    pub t_cas: u64,
+    pub(crate) t_cas: u64,
     /// CPU cycles per memory-bus cycle (4 GHz core over the bus clock).
-    pub cpu_per_mem_cycle: u64,
+    pub(crate) cpu_per_mem_cycle: u64,
 }
 
 impl DeviceTiming {
@@ -53,30 +53,30 @@ impl DeviceTiming {
 
     /// TL-DRAM near segment (Lee et al. \[74\]): the short bitlines of the
     /// near segment cut tRCD by ~56% and tRP by ~76% versus commodity DRAM.
-    pub fn tldram_near() -> Self {
+    pub(crate) fn tldram_near() -> Self {
         Self { t_rcd: 2, t_rp: 1, t_rrd_act: 3, t_rrd_pre: 3, t_cas: 3, cpu_per_mem_cycle: 5 }
     }
 
     /// TL-DRAM far segment: slightly worse than commodity DRAM because the
     /// isolation transistor adds resistance on the long bitline.
-    pub fn tldram_far() -> Self {
+    pub(crate) fn tldram_far() -> Self {
         Self { t_rcd: 6, t_rp: 6, t_rrd_act: 3, t_rrd_pre: 3, t_cas: 5, cpu_per_mem_cycle: 5 }
     }
 
     /// Latency (in CPU cycles) of a row-buffer hit: CAS only.
-    pub fn row_hit_cycles(&self) -> u64 {
+    pub(crate) fn row_hit_cycles(&self) -> u64 {
         self.t_cas * self.cpu_per_mem_cycle
     }
 
     /// Latency (in CPU cycles) of a row miss in a closed bank: activate +
     /// CAS.
-    pub fn row_closed_cycles(&self) -> u64 {
+    pub(crate) fn row_closed_cycles(&self) -> u64 {
         (self.t_rcd + self.t_cas) * self.cpu_per_mem_cycle
     }
 
     /// Latency (in CPU cycles) of a row conflict: precharge + activate +
     /// CAS.
-    pub fn row_conflict_cycles(&self) -> u64 {
+    pub(crate) fn row_conflict_cycles(&self) -> u64 {
         (self.t_rp + self.t_rcd + self.t_cas) * self.cpu_per_mem_cycle
     }
 }

@@ -17,10 +17,6 @@ use crate::systems::SystemKind;
 /// Result of one quad-core bundle run.
 #[derive(Debug, Clone)]
 pub struct BundleResult {
-    /// Bundle label ("wl1".."wl6").
-    pub bundle: &'static str,
-    /// System configuration.
-    pub system: SystemKind,
     /// Per-app results in bundle order.
     pub apps: Vec<RunResult>,
 }
@@ -38,7 +34,7 @@ impl BundleResult {
 /// Runs a four-app bundle on `system_kind` with interleaved accesses and a
 /// shared memory system per core group.
 ///
-/// Each app gets its own [`crate::systems::Machine`] (private caches
+/// Each app gets its own `Machine` (private caches
 /// and translation state — the paper's LLC is 2 MiB *per core*), while
 /// contention is modelled through the per-app engine running on a quarter
 /// of the simulated window. This captures the first-order effect the
@@ -50,6 +46,7 @@ pub fn run_bundle(
     apps: &[WorkloadSpec],
     config: &EngineConfig,
 ) -> BundleResult {
+    assert_eq!(apps.len(), 4, "{bundle}: a Figure 8 bundle is four apps");
     // Memory per app: a quarter of the machine.
     let per_app = EngineConfig { phys_frames: config.phys_frames / 4, ..config.clone() };
     let results = apps
@@ -60,7 +57,7 @@ pub fn run_bundle(
             run(system_kind, spec, &cfg)
         })
         .collect();
-    BundleResult { bundle, system: system_kind, apps: results }
+    BundleResult { apps: results }
 }
 
 /// Runs each app of a bundle alone on `Native` with the full machine — the

@@ -15,22 +15,14 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Geometric mean (reported alongside for robustness).
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
 /// A speedup matrix: rows = workloads, columns = systems, all normalized to
 /// one baseline system.
 #[derive(Debug, Clone)]
 pub struct SpeedupTable {
     /// Baseline system (the "1.0" of the figure).
-    pub baseline: SystemKind,
+    pub(crate) baseline: SystemKind,
     /// Column systems, in print order.
-    pub systems: Vec<SystemKind>,
+    pub(crate) systems: Vec<SystemKind>,
     /// `(workload, speedups-per-system)` rows.
     pub rows: Vec<(&'static str, Vec<f64>)>,
 }
@@ -100,7 +92,7 @@ impl SpeedupTable {
     }
 
     /// Renders the table as fixed-width text.
-    pub fn render(&self, title: &str) -> String {
+    pub(crate) fn render(&self, title: &str) -> String {
         let mut out = String::new();
         out.push_str(&format!("{title}\n"));
         out.push_str(&format!(
@@ -162,9 +154,7 @@ mod tests {
     #[test]
     fn means() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
     }
 
     #[test]

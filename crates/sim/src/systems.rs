@@ -1,6 +1,6 @@
 //! The ten system configurations of the evaluation (§7.2).
 //!
-//! Every system is one [`Machine`]: a cache hierarchy, DDR3 memory, the
+//! Every system is one `Machine`: a cache hierarchy, DDR3 memory, the
 //! memory controller's table cache and a translator. Given one trace record
 //! it returns the stall cycles the access exposes to the core and keeps
 //! counters. The systems differ only in the translator, which fixes where
@@ -35,10 +35,10 @@ use crate::baselines::enigma::{EnigmaController, IaSpace};
 use crate::baselines::mmu::{MmuTranslation, NativeMmu, PerfectMmu, L2_TLB_LATENCY};
 use crate::baselines::nested::NestedMmu;
 use crate::baselines::page_table::PageSize;
+use crate::mem::cache::Cache;
 use crate::mem::controller::MemoryController;
 use crate::mem::hierarchy::{CacheHierarchy, HitLevel};
 use crate::mem::timing::CacheTiming;
-use crate::mem::Cache;
 use vbi_core::addr::{SizeClass, VbiAddress};
 use vbi_core::client::{ClientId, Cvt, CvtEntry};
 use vbi_core::config::VbiConfig;
@@ -121,7 +121,7 @@ pub struct SystemCounters {
 }
 
 /// Builds the system for a kind, sized for `phys_frames` frames of memory.
-pub fn build_system(kind: SystemKind, phys_frames: u64) -> Machine {
+pub(crate) fn build_system(kind: SystemKind, phys_frames: u64) -> Machine {
     let vbi = |config: VbiConfig| Translator::vbi(VbiConfig { phys_frames, ..config });
     Machine::new(match kind {
         SystemKind::Native => Translator::Native(NativeMmu::new(PageSize::Kb4, phys_frames)),
@@ -254,7 +254,7 @@ impl Translator {
 
 /// A complete single-core memory system: address layout, caches, a
 /// translator and a memory controller.
-pub struct Machine {
+pub(crate) struct Machine {
     caches: CacheHierarchy,
     memory: MemoryController,
     /// A small SRAM cache at the memory controller holding translation
@@ -281,7 +281,7 @@ impl Machine {
     }
 
     /// Registers the workload's regions (sizes in bytes) before the run.
-    pub fn attach_regions(&mut self, sizes: &[u64]) {
+    pub(crate) fn attach_regions(&mut self, sizes: &[u64]) {
         self.bases = match &mut self.translator {
             Translator::Enigma(_) => {
                 let mut space = IaSpace::new();
@@ -307,7 +307,7 @@ impl Machine {
 
     /// Plays one access and returns the stall cycles it exposes to the core
     /// (before MLP overlap).
-    pub fn access(&mut self, region: usize, offset: u64, is_write: bool) -> u64 {
+    pub(crate) fn access(&mut self, region: usize, offset: u64, is_write: bool) -> u64 {
         let mut stall = self.check_cvt(region);
         let mut addr = self.bases[region] + offset;
         if !self.translator.at_llc_miss() {
@@ -340,12 +340,12 @@ impl Machine {
     }
 
     /// Accumulated counters.
-    pub fn counters(&self) -> SystemCounters {
+    pub(crate) fn counters(&self) -> SystemCounters {
         self.counters
     }
 
     /// Resets counters at the warm-up boundary (cache/TLB state persists).
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.counters = SystemCounters::default();
         if let Translator::Vbi { mtl, .. } = &mut self.translator {
             mtl.reset_stats();

@@ -17,10 +17,6 @@
 //! ```
 
 pub mod bundles;
-pub mod patterns;
+pub(crate) mod patterns;
 pub mod spec;
 pub mod trace;
-
-pub use patterns::Pattern;
-pub use spec::{all_benchmarks, benchmark, FIG6_BENCHMARKS, FIG7_BENCHMARKS, HETERO_BENCHMARKS};
-pub use trace::{Access, RegionSpec, TraceGenerator, WorkloadSpec};

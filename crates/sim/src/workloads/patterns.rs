@@ -10,7 +10,7 @@ use rand::Rng;
 
 /// How offsets within a region are generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Pattern {
+pub(crate) enum Pattern {
     /// Sequential streaming with the given stride in bytes (high spatial
     /// locality: row-buffer and TLB friendly).
     Sequential {
@@ -55,7 +55,7 @@ pub enum Pattern {
 
 impl Pattern {
     /// Whether consecutive accesses are serially dependent.
-    pub fn is_dependent(&self) -> bool {
+    pub(crate) fn is_dependent(&self) -> bool {
         matches!(self, Pattern::PointerChase | Pattern::SparseHot { .. })
     }
 
@@ -63,7 +63,13 @@ impl Pattern {
     /// the previous offset. `salt` identifies the region so that identical
     /// patterns in sibling regions produce decorrelated layouts (real data
     /// structures do not alias line-for-line).
-    pub fn next_offset(&self, rng: &mut SmallRng, bytes: u64, previous: u64, salt: u64) -> u64 {
+    pub(crate) fn next_offset(
+        &self,
+        rng: &mut SmallRng,
+        bytes: u64,
+        previous: u64,
+        salt: u64,
+    ) -> u64 {
         debug_assert!(bytes > 0);
         match *self {
             Pattern::Sequential { stride } | Pattern::Strided { stride } => {

@@ -19,14 +19,8 @@ use super::trace::{RegionSpec, WorkloadSpec};
 
 const MB: u64 = 1 << 20;
 
-fn region(
-    name: &'static str,
-    bytes: u64,
-    pattern: Pattern,
-    write_fraction: f64,
-    weight: f64,
-) -> RegionSpec {
-    RegionSpec { name, bytes, pattern, write_fraction, weight, init_fraction: 1.0 }
+fn region(bytes: u64, pattern: Pattern, write_fraction: f64, weight: f64) -> RegionSpec {
+    RegionSpec { bytes, pattern, write_fraction, weight, init_fraction: 1.0 }
 }
 
 /// A large logical structure allocated as `parts` separate chunks (as real
@@ -34,7 +28,6 @@ fn region(
 /// geometrically by `skew` across chunks: `skew = 1.0` spreads accesses
 /// evenly; smaller values concentrate them in the first chunks (a hot core).
 fn banked(
-    name: &'static str,
     total_bytes: u64,
     parts: usize,
     pattern: Pattern,
@@ -46,7 +39,7 @@ fn banked(
     let raw: Vec<f64> = (0..parts).map(|i| skew.powi(i as i32)).collect();
     let norm: f64 = raw.iter().sum();
     raw.into_iter()
-        .map(|w| region(name, bytes, pattern, write_fraction, total_weight * w / norm))
+        .map(|w| region(bytes, pattern, write_fraction, total_weight * w / norm))
         .collect()
 }
 
@@ -92,14 +85,6 @@ pub const HETERO_BENCHMARKS: [&str; 15] = [
     "Graph 500",
 ];
 
-/// Every benchmark modelled.
-pub fn all_benchmarks() -> Vec<&'static str> {
-    let mut names: Vec<&str> = FIG6_BENCHMARKS.into_iter().chain(HETERO_BENCHMARKS).collect();
-    names.sort_unstable();
-    names.dedup();
-    names
-}
-
 /// Looks up a benchmark profile by its figure label.
 pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
     let spec = match name {
@@ -109,17 +94,17 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "astar" => WorkloadSpec {
             name: "astar",
             regions: vec![
-                region("graph-core", 64 * MB, Pattern::PointerChase, 0.05, 3.5),
-                region("graph-rest", 96 * MB, Pattern::PointerChase, 0.05, 1.5),
+                region(64 * MB, Pattern::PointerChase, 0.05, 3.5), // graph-core
+                region(96 * MB, Pattern::PointerChase, 0.05, 1.5), // graph-rest
                 region(
-                    "open-list",
+                    // open-list
                     24 * MB,
                     Pattern::HotCold { hot_fraction: 0.2, hot_probability: 0.8 },
                     0.45,
                     3.0,
                 )
                 .with_init(0.2),
-                region("way-map", 48 * MB, Pattern::RandomUniform, 0.10, 2.0).with_init(0.3),
+                region(48 * MB, Pattern::RandomUniform, 0.10, 2.0).with_init(0.3), // way-map
             ],
             mean_gap: 4,
             mlp: 2.0,
@@ -130,14 +115,14 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
             name: "bzip2",
             regions: vec![
                 region(
-                    "block",
+                    // block
                     96 * MB,
                     Pattern::HotCold { hot_fraction: 0.3, hot_probability: 0.85 },
                     0.35,
                     4.0,
                 ),
-                region("sort-arrays", 96 * MB, Pattern::RandomUniform, 0.40, 3.0),
-                region("output", 16 * MB, Pattern::Sequential { stride: 64 }, 0.9, 1.0),
+                region(96 * MB, Pattern::RandomUniform, 0.40, 3.0), // sort-arrays
+                region(16 * MB, Pattern::Sequential { stride: 64 }, 0.9, 1.0), // output
             ],
             mean_gap: 5,
             mlp: 3.0,
@@ -149,7 +134,7 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
             regions: (0..195)
                 .map(|i| {
                     region(
-                        "grid",
+                        // grid
                         4 * MB,
                         Pattern::Strided { stride: 4096 + 64 * ((i % 7) as u64) },
                         0.30,
@@ -171,7 +156,7 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
                 // The network's hot nodes are one line per page across tens
                 // of thousands of pages: LLC-resident, TLB-hopeless.
                 let mut r = banked(
-                    "network",
+                    // network
                     768 * MB,
                     8,
                     Pattern::SparseHot { hot_pages: 3072, hot_probability: 0.9 },
@@ -183,7 +168,7 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
                 .map(|x| x.with_init(0.15))
                 .collect::<Vec<_>>();
                 r.extend(
-                    banked("arcs", 192 * MB, 4, Pattern::RandomUniform, 0.25, 1.5, 0.6)
+                    banked(192 * MB, 4, Pattern::RandomUniform, 0.25, 1.5, 0.6) // arcs
                         .into_iter()
                         .map(|x| x.with_init(0.5)),
                 );
@@ -196,13 +181,13 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "milc" => WorkloadSpec {
             name: "milc",
             regions: vec![
-                region("lattice-a0", 64 * MB, Pattern::Strided { stride: 6 * 1024 }, 0.35, 2.0),
-                region("lattice-a1", 64 * MB, Pattern::Strided { stride: 6 * 1024 }, 0.35, 1.3),
-                region("lattice-a2", 64 * MB, Pattern::Strided { stride: 6 * 1024 }, 0.35, 0.7),
-                region("lattice-b0", 64 * MB, Pattern::Strided { stride: 10 * 1024 }, 0.35, 2.0),
-                region("lattice-b1", 64 * MB, Pattern::Strided { stride: 10 * 1024 }, 0.35, 1.3),
-                region("lattice-b2", 64 * MB, Pattern::Strided { stride: 10 * 1024 }, 0.35, 0.7),
-                region("gauge", 64 * MB, Pattern::Sequential { stride: 64 }, 0.2, 1.0),
+                region(64 * MB, Pattern::Strided { stride: 6 * 1024 }, 0.35, 2.0), // lattice-a0
+                region(64 * MB, Pattern::Strided { stride: 6 * 1024 }, 0.35, 1.3), // lattice-a1
+                region(64 * MB, Pattern::Strided { stride: 6 * 1024 }, 0.35, 0.7), // lattice-a2
+                region(64 * MB, Pattern::Strided { stride: 10 * 1024 }, 0.35, 2.0), // lattice-b0
+                region(64 * MB, Pattern::Strided { stride: 10 * 1024 }, 0.35, 1.3), // lattice-b1
+                region(64 * MB, Pattern::Strided { stride: 10 * 1024 }, 0.35, 0.7), // lattice-b2
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.2, 1.0),     // gauge
             ],
             mean_gap: 3,
             mlp: 4.0,
@@ -212,13 +197,13 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
             name: "namd",
             regions: vec![
                 region(
-                    "atoms",
+                    // atoms
                     24 * MB,
                     Pattern::HotCold { hot_fraction: 0.1, hot_probability: 0.95 },
                     0.30,
                     5.0,
                 ),
-                region("pairlists", 16 * MB, Pattern::Sequential { stride: 64 }, 0.10, 2.0),
+                region(16 * MB, Pattern::Sequential { stride: 64 }, 0.10, 2.0), // pairlists
             ],
             mean_gap: 7,
             mlp: 4.0,
@@ -228,7 +213,7 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
             name: "sjeng",
             regions: vec![
                 region(
-                    "hash-table",
+                    // hash-table
                     40 * MB,
                     Pattern::HotCold { hot_fraction: 0.05, hot_probability: 0.9 },
                     0.40,
@@ -236,7 +221,7 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
                 )
                 .with_init(0.1),
                 region(
-                    "board-stack",
+                    // board-stack
                     2 * MB,
                     Pattern::HotCold { hot_fraction: 0.5, hot_probability: 0.95 },
                     0.50,
@@ -251,16 +236,16 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "bwaves-17" => WorkloadSpec {
             name: "bwaves-17",
             regions: vec![
-                region("field-a0", 64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0),
-                region("field-a1", 64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0),
-                region("field-a2", 64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0),
-                region("field-a3", 64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0),
-                region("field-b0", 64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 1.2),
-                region("field-b1", 64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 0.8),
-                region("field-b2", 64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 0.6),
-                region("field-b3", 64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 0.4),
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0), // field-a0
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0), // field-a1
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0), // field-a2
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.4, 1.0), // field-a3
+                region(64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 1.2), // field-b0
+                region(64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 0.8), // field-b1
+                region(64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 0.6), // field-b2
+                region(64 * MB, Pattern::Strided { stride: 8 * 1024 }, 0.3, 0.4), // field-b3
                 region(
-                    "coeffs",
+                    // coeffs
                     32 * MB,
                     Pattern::HotCold { hot_fraction: 0.2, hot_probability: 0.8 },
                     0.1,
@@ -274,12 +259,12 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "deepsjeng-17" => WorkloadSpec {
             name: "deepsjeng-17",
             regions: vec![
-                region("tt0", 80 * MB, Pattern::RandomUniform, 0.35, 2.4).with_init(0.15),
-                region("tt1", 80 * MB, Pattern::RandomUniform, 0.35, 1.6).with_init(0.15),
-                region("tt2", 80 * MB, Pattern::RandomUniform, 0.35, 1.2).with_init(0.15),
-                region("tt3", 80 * MB, Pattern::RandomUniform, 0.35, 0.8).with_init(0.15),
+                region(80 * MB, Pattern::RandomUniform, 0.35, 2.4).with_init(0.15), // tt0
+                region(80 * MB, Pattern::RandomUniform, 0.35, 1.6).with_init(0.15), // tt1
+                region(80 * MB, Pattern::RandomUniform, 0.35, 1.2).with_init(0.15), // tt2
+                region(80 * MB, Pattern::RandomUniform, 0.35, 0.8).with_init(0.15), // tt3
                 region(
-                    "stacks",
+                    // stacks
                     4 * MB,
                     Pattern::HotCold { hot_fraction: 0.5, hot_probability: 0.95 },
                     0.50,
@@ -293,10 +278,10 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "lbm-17" => WorkloadSpec {
             name: "lbm-17",
             regions: vec![
-                region("grid-src0", 110 * MB, Pattern::Sequential { stride: 64 }, 0.05, 2.0),
-                region("grid-src1", 110 * MB, Pattern::Sequential { stride: 64 }, 0.05, 2.0),
-                region("grid-dst0", 110 * MB, Pattern::Sequential { stride: 64 }, 0.95, 2.0),
-                region("grid-dst1", 110 * MB, Pattern::Sequential { stride: 64 }, 0.95, 2.0),
+                region(110 * MB, Pattern::Sequential { stride: 64 }, 0.05, 2.0), // grid-src0
+                region(110 * MB, Pattern::Sequential { stride: 64 }, 0.05, 2.0), // grid-src1
+                region(110 * MB, Pattern::Sequential { stride: 64 }, 0.95, 2.0), // grid-dst0
+                region(110 * MB, Pattern::Sequential { stride: 64 }, 0.95, 2.0), // grid-dst1
             ],
             mean_gap: 2,
             mlp: 8.0,
@@ -305,11 +290,11 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "omnetpp-17" => WorkloadSpec {
             name: "omnetpp-17",
             regions: vec![
-                region("event-heap-hot", 32 * MB, Pattern::PointerChase, 0.30, 3.5).with_init(0.4),
-                region("event-heap-cold", 96 * MB, Pattern::PointerChase, 0.30, 1.5).with_init(0.4),
-                region("modules", 64 * MB, Pattern::RandomUniform, 0.20, 3.0),
+                region(32 * MB, Pattern::PointerChase, 0.30, 3.5).with_init(0.4), // event-heap-hot
+                region(96 * MB, Pattern::PointerChase, 0.30, 1.5).with_init(0.4), // event-heap-cold
+                region(64 * MB, Pattern::RandomUniform, 0.20, 3.0),               // modules
                 region(
-                    "queues",
+                    // queues
                     16 * MB,
                     Pattern::HotCold { hot_fraction: 0.3, hot_probability: 0.85 },
                     0.50,
@@ -323,11 +308,11 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "xalancbmk-17" => WorkloadSpec {
             name: "xalancbmk-17",
             regions: vec![
-                region("dom-hot", 32 * MB, Pattern::PointerChase, 0.15, 3.5),
-                region("dom-cold", 160 * MB, Pattern::PointerChase, 0.15, 1.5),
-                region("strings", 48 * MB, Pattern::RandomUniform, 0.25, 2.0),
+                region(32 * MB, Pattern::PointerChase, 0.15, 3.5), // dom-hot
+                region(160 * MB, Pattern::PointerChase, 0.15, 1.5), // dom-cold
+                region(48 * MB, Pattern::RandomUniform, 0.25, 2.0), // strings
                 region(
-                    "stylesheet",
+                    // stylesheet
                     8 * MB,
                     Pattern::HotCold { hot_fraction: 0.2, hot_probability: 0.9 },
                     0.05,
@@ -343,13 +328,13 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
             name: "hmmer",
             regions: vec![
                 region(
-                    "dp-matrix",
+                    // dp-matrix
                     12 * MB,
                     Pattern::HotCold { hot_fraction: 0.25, hot_probability: 0.95 },
                     0.55,
                     5.0,
                 ),
-                region("sequences", 24 * MB, Pattern::Sequential { stride: 64 }, 0.02, 2.0),
+                region(24 * MB, Pattern::Sequential { stride: 64 }, 0.02, 2.0), // sequences
             ],
             mean_gap: 8,
             mlp: 3.0,
@@ -358,11 +343,11 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "soplex" => WorkloadSpec {
             name: "soplex",
             regions: vec![
-                region("matrix-hot", 48 * MB, Pattern::Strided { stride: 12 * 1024 }, 0.20, 2.8),
-                region("matrix-cold", 112 * MB, Pattern::Strided { stride: 12 * 1024 }, 0.20, 1.2),
-                region("row-index", 64 * MB, Pattern::RandomUniform, 0.15, 3.0),
+                region(48 * MB, Pattern::Strided { stride: 12 * 1024 }, 0.20, 2.8), // matrix-hot
+                region(112 * MB, Pattern::Strided { stride: 12 * 1024 }, 0.20, 1.2), // matrix-cold
+                region(64 * MB, Pattern::RandomUniform, 0.15, 3.0),                 // row-index
                 region(
-                    "basis",
+                    // basis
                     16 * MB,
                     Pattern::HotCold { hot_fraction: 0.3, hot_probability: 0.9 },
                     0.60,
@@ -378,15 +363,15 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
             name: "sphinx3",
             regions: vec![
                 region(
-                    "acoustic-hot",
+                    // acoustic-hot
                     24 * MB,
                     Pattern::HotCold { hot_fraction: 0.6, hot_probability: 0.9 },
                     0.02,
                     3.5,
                 ),
-                region("acoustic-cold", 360 * MB, Pattern::RandomUniform, 0.02, 1.5),
+                region(360 * MB, Pattern::RandomUniform, 0.02, 1.5), // acoustic-cold
                 region(
-                    "active-list",
+                    // active-list
                     8 * MB,
                     Pattern::HotCold { hot_fraction: 0.4, hot_probability: 0.9 },
                     0.55,
@@ -402,17 +387,17 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "img-dnn" => WorkloadSpec {
             name: "img-dnn",
             regions: vec![
-                region("weights0", 64 * MB, Pattern::Sequential { stride: 64 }, 0.02, 2.2),
-                region("weights1", 64 * MB, Pattern::Sequential { stride: 64 }, 0.02, 1.6),
-                region("weights2", 64 * MB, Pattern::Sequential { stride: 64 }, 0.02, 1.2),
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.02, 2.2), // weights0
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.02, 1.6), // weights1
+                region(64 * MB, Pattern::Sequential { stride: 64 }, 0.02, 1.2), // weights2
                 region(
-                    "activations",
+                    // activations
                     16 * MB,
                     Pattern::HotCold { hot_fraction: 0.5, hot_probability: 0.9 },
                     0.60,
                     3.0,
                 ),
-                region("requests", 32 * MB, Pattern::RandomUniform, 0.30, 1.0).with_init(0.2),
+                region(32 * MB, Pattern::RandomUniform, 0.30, 1.0).with_init(0.2), // requests
             ],
             mean_gap: 3,
             mlp: 5.0,
@@ -422,12 +407,12 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "moses" => WorkloadSpec {
             name: "moses",
             regions: vec![
-                region("phrase-hot", 64 * MB, Pattern::PointerChase, 0.05, 4.0).with_init(0.9),
-                region("phrase-cold", 192 * MB, Pattern::PointerChase, 0.05, 2.0).with_init(0.9),
-                region("lm-hot", 48 * MB, Pattern::RandomUniform, 0.05, 2.0),
-                region("lm-cold", 80 * MB, Pattern::RandomUniform, 0.05, 1.0),
+                region(64 * MB, Pattern::PointerChase, 0.05, 4.0).with_init(0.9), // phrase-hot
+                region(192 * MB, Pattern::PointerChase, 0.05, 2.0).with_init(0.9), // phrase-cold
+                region(48 * MB, Pattern::RandomUniform, 0.05, 2.0),               // lm-hot
+                region(80 * MB, Pattern::RandomUniform, 0.05, 1.0),               // lm-cold
                 region(
-                    "hypotheses",
+                    // hypotheses
                     16 * MB,
                     Pattern::HotCold { hot_fraction: 0.3, hot_probability: 0.85 },
                     0.60,
@@ -444,17 +429,17 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
         "Graph 500" => WorkloadSpec {
             name: "Graph 500",
             regions: vec![
-                region("edges-core", 96 * MB, Pattern::RandomUniform, 0.02, 3.6).with_init(0.9),
-                region("edges-rest", 416 * MB, Pattern::RandomUniform, 0.02, 2.4).with_init(0.9),
+                region(96 * MB, Pattern::RandomUniform, 0.02, 3.6).with_init(0.9), // edges-core
+                region(416 * MB, Pattern::RandomUniform, 0.02, 2.4).with_init(0.9), // edges-rest
                 region(
-                    "vertices",
+                    // vertices
                     96 * MB,
                     Pattern::HotCold { hot_fraction: 0.1, hot_probability: 0.6 },
                     0.40,
                     3.0,
                 )
                 .with_init(0.3),
-                region("frontier", 16 * MB, Pattern::Sequential { stride: 64 }, 0.70, 2.0)
+                region(16 * MB, Pattern::Sequential { stride: 64 }, 0.70, 2.0) // frontier
                     .with_init(0.1),
             ],
             mean_gap: 2,
@@ -468,6 +453,14 @@ pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every benchmark modelled.
+    fn all_benchmarks() -> Vec<&'static str> {
+        let mut names: Vec<&str> = FIG6_BENCHMARKS.into_iter().chain(HETERO_BENCHMARKS).collect();
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
 
     #[test]
     fn every_figure_benchmark_resolves() {

@@ -9,29 +9,27 @@ use super::patterns::Pattern;
 /// region under the baselines).
 #[derive(Debug, Clone)]
 pub struct RegionSpec {
-    /// Diagnostic name ("grid", "heap", ...).
-    pub name: &'static str,
     /// Region size in bytes.
     pub bytes: u64,
     /// Offset-generation pattern.
-    pub pattern: Pattern,
+    pub(crate) pattern: Pattern,
     /// Fraction of accesses to this region that are writes.
-    pub write_fraction: f64,
+    pub(crate) write_fraction: f64,
     /// Relative probability of an access landing in this region.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Fraction of the region's pages written during the pre-measurement
     /// initialization phase. Fully initialized data (`1.0`) never benefits
     /// from delayed allocation's zero-line path; freshly allocated, sparsely
     /// constructed structures (mcf's network mid-build, chess transposition
     /// tables, GemsFDTD's per-timestep grids) are the cases where VBI-2's
     /// optimization fires, exactly as in the paper's traced regions.
-    pub init_fraction: f64,
+    pub(crate) init_fraction: f64,
 }
 
 impl RegionSpec {
     /// Overrides the initialization fraction (constructor default is fully
     /// initialized).
-    pub fn with_init(mut self, init_fraction: f64) -> Self {
+    pub(crate) fn with_init(mut self, init_fraction: f64) -> Self {
         self.init_fraction = init_fraction;
         self
     }
@@ -47,24 +45,24 @@ pub struct Access {
     /// Whether this is a store.
     pub is_write: bool,
     /// Non-memory instructions executed since the previous access.
-    pub gap: u32,
+    pub(crate) gap: u32,
     /// Whether the access serially depends on the previous one (pointer
     /// chasing): the engine must not overlap its latency.
-    pub dependent: bool,
+    pub(crate) dependent: bool,
 }
 
 /// A complete workload description: regions plus instruction-mix parameters.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Benchmark name as it appears in the paper's figures.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The data structures the program allocates.
     pub regions: Vec<RegionSpec>,
     /// Mean non-memory instructions between memory accesses.
-    pub mean_gap: u32,
+    pub(crate) mean_gap: u32,
     /// Memory-level parallelism for independent accesses: how many misses
     /// the 128-entry ROB typically overlaps (1.0 = fully serialized).
-    pub mlp: f64,
+    pub(crate) mlp: f64,
 }
 
 impl WorkloadSpec {
@@ -110,7 +108,7 @@ pub struct TraceGenerator<'a> {
 
 impl<'a> TraceGenerator<'a> {
     /// Creates a generator with the given seed.
-    pub fn new(spec: &'a WorkloadSpec, seed: u64) -> Self {
+    pub(crate) fn new(spec: &'a WorkloadSpec, seed: u64) -> Self {
         let total: f64 = spec.regions.iter().map(|r| r.weight).sum();
         let mut acc = 0.0;
         let cumulative = spec
@@ -157,7 +155,6 @@ mod tests {
             name: "toy",
             regions: vec![
                 RegionSpec {
-                    name: "stream",
                     bytes: 1 << 20,
                     pattern: Pattern::Sequential { stride: 64 },
                     write_fraction: 0.0,
@@ -165,7 +162,6 @@ mod tests {
                     init_fraction: 1.0,
                 },
                 RegionSpec {
-                    name: "heap",
                     bytes: 1 << 16,
                     pattern: Pattern::RandomUniform,
                     write_fraction: 1.0,
