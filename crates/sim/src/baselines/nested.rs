@@ -136,7 +136,8 @@ impl NestedMmu {
         let gpa = (guest_walk.frame.expect("guest mapped above") << 12) + offset;
         let hpa = self.host_translate(gpa, &mut accesses, false);
 
-        self.tlbs.insert(vpn, hpa >> 12);
+        // The TLB holds the page's base frame; a hit adds the page offset.
+        self.tlbs.insert(vpn, (hpa - offset) >> 12);
         MmuTranslation {
             paddr: hpa,
             events: MmuEvents { walk_accesses: accesses, allocated, ..Default::default() },
@@ -195,5 +196,10 @@ mod tests {
         mmu.tlbs = TlbHierarchy::new(PageSize::Mb2); // force a second walk
         let b = mmu.translate(0x12_3456);
         assert_eq!(a.paddr, b.paddr);
+        // The hit path: two 4 KiB pages of one 2 MiB page translate exactly
+        // 4 KiB apart.
+        let c = mmu.translate(0x12_4456);
+        assert!(c.events.l1_tlb_hit);
+        assert_eq!(c.paddr, a.paddr + 0x1000);
     }
 }
