@@ -72,14 +72,16 @@ fn figure9_and_10_policies_all_run() {
 fn every_benchmark_runs_on_every_system_briefly() {
     // Every system and every benchmark at miniature scale: no panics, no
     // degenerate results. Two covering sweeps, not the 14 x 10 product: a
-    // cell's cost in a debug build is the init phase's one store per
-    // initialised page, not the 400 accesses, so the product is 80 s of
-    // big-footprint set-up. Every system runs the three small footprints;
-    // every benchmark runs on one VBI and one conventional system. The full
-    // product at full length runs in release in CI's `figures` job
-    // (`run_all`: fig6 is 14 benchmarks x 7 systems, fig7 8 x 5). The VBI
-    // column is three quarters of what is left, so it gets a thread of its
-    // own. Every cell's counts are pinned in `PINS`.
+    // cell's cost is the init phase's one store per initialised page, not
+    // the 400 accesses, so in the test profile (`opt-level = 1`) the product
+    // is ~14 s of big-footprint set-up on one thread and the two sweeps
+    // ~3 s (2-CPU x86-64 host). Every system runs the three small
+    // footprints; every benchmark runs on one VBI and one conventional
+    // system. The whole product runs in release in CI's `figures` job, at
+    // `VBI_SIM_ACCESSES=20000` (`run_all`: fig6 is the 14 benchmarks x 7
+    // systems, fig7 the same 14 x 5, of which it prints 8). The VBI column
+    // is three quarters of the sweeps, so it gets a thread of its own.
+    // Every cell's counts are pinned in `PINS`.
     let cfg = EngineConfig { accesses: 400, warmup: 50, seed: 7, phys_frames: 1 << 19 };
     let check = |name: &str, kind: SystemKind| {
         let r = run(kind, &benchmark(name).unwrap(), &cfg);
