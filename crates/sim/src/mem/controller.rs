@@ -43,7 +43,7 @@ pub(crate) enum HybridRegion {
 /// acts as the fast region for hot pages in front of a large PCM.
 ///
 /// The physical address space is split: addresses below `dram_bytes` are
-/// DRAM, the rest PCM. Placement/migration policy lives in `vbi-hetero`.
+/// DRAM, the rest PCM. Placement/migration policy lives in `crate::hetero`.
 #[derive(Debug, Clone)]
 pub(crate) struct HybridMemory {
     dram: Device,

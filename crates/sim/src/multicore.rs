@@ -34,12 +34,11 @@ impl BundleResult {
 /// Runs a four-app bundle on `system_kind` with interleaved accesses and a
 /// shared memory system per core group.
 ///
-/// Each app gets its own `Machine` (private caches
-/// and translation state — the paper's LLC is 2 MiB *per core*), while
-/// contention is modelled through the per-app engine running on a quarter
-/// of the simulated window. This captures the first-order effect the
-/// figure reports: how translation overhead scales when memory pressure
-/// quadruples.
+/// Each app gets its own `Machine` (private caches and translation state —
+/// the paper's LLC is 2 MiB *per core*), while contention is modelled
+/// through the per-app engine running on a quarter of the simulated window.
+/// This captures the first-order effect the figure reports: how translation
+/// overhead scales when memory pressure quadruples.
 pub fn run_bundle(
     bundle: &'static str,
     system_kind: SystemKind,
