@@ -65,9 +65,9 @@ impl std::fmt::Debug for DeviceImpl {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeteroStats {
     /// Accesses served from the fast region.
-    pub(crate) fast_accesses: u64,
+    pub fast_accesses: u64,
     /// Accesses served from the slow region.
-    pub(crate) slow_accesses: u64,
+    pub slow_accesses: u64,
     /// Pages migrated between regions.
     pub pages_migrated: u64,
     /// Cycles spent on migration traffic.

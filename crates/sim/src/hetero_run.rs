@@ -8,7 +8,7 @@
 //! mirroring the paper's "oracle knowledge" formulation.
 
 use crate::hetero::hotness::HotnessTracker;
-use crate::hetero::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
+use crate::hetero::memory::{HeteroKind, HeteroMemory, HeteroStats, Policy, PAGE_BYTES};
 use crate::mem::hierarchy::{CacheHierarchy, HitLevel};
 use crate::workloads::trace::WorkloadSpec;
 
@@ -22,11 +22,13 @@ pub struct HeteroRunResult {
     /// Architecture.
     pub(crate) kind: HeteroKind,
     /// Instructions committed.
-    pub(crate) instructions: u64,
+    pub instructions: u64,
     /// Total cycles.
     pub cycles: u64,
     /// Fraction of main-memory accesses served by the fast region.
     pub fast_fraction: f64,
+    /// The memory's placement statistics over the whole run.
+    pub stats: HeteroStats,
 }
 
 impl HeteroRunResult {
@@ -131,6 +133,7 @@ pub fn run_hetero(
         instructions,
         cycles: (cycles_x4 / 4).max(1),
         fast_fraction: stats.fast_fraction(),
+        stats,
     }
 }
 

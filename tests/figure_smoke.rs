@@ -69,6 +69,20 @@ fn figure9_and_10_policies_all_run() {
 }
 
 #[test]
+fn figure9_and_10_cells_are_pinned() {
+    // Both memories under all three policies on three of the hetero
+    // benchmarks, each cell's counts pinned in `HETERO_PINS`. The warm-up is
+    // long enough for milc to evict dirty lines from the LLC before the
+    // measured accesses start.
+    let cfg = EngineConfig { accesses: 4_000, warmup: 20_000, seed: 2020, phys_frames: 1 << 19 };
+    for (name, kind, policy, pin) in HETERO_PINS {
+        let r = run_hetero(kind, policy, &benchmark(name).unwrap(), &cfg);
+        let got = [r.cycles, r.instructions, r.stats.fast_accesses, r.stats.slow_accesses];
+        assert_eq!(got, pin, "{name} on {kind:?} under {policy:?}");
+    }
+}
+
+#[test]
 fn every_benchmark_runs_on_every_system_briefly() {
     // Every system and every benchmark at miniature scale: no panics, no
     // degenerate results. Two covering sweeps, not the 14 x 10 product: a
@@ -184,4 +198,31 @@ const PINS: [(&str, &str, [u64; 6]); 52] = [
     ("deepsjeng-17", "Enigma-HW-2M", [26142, 0, 400, 403, 0, 0]),
     ("deepsjeng-17", "VBI-1", [32132, 0, 400, 403, 674, 0]),
     ("deepsjeng-17", "VBI-2", [23365, 0, 400, 132, 639, 271]),
+];
+
+/// Figures 9-10's cells at a miniature length, each as `(benchmark, memory,
+/// policy, [cycles, instructions, fast_accesses, slow_accesses])`: the
+/// figure's own cycle count and the memory's placement counts over the whole
+/// run, warm-up included. A change that moves one moves a figure, so it
+/// regenerates this table and says why.
+#[rustfmt::skip]
+const HETERO_PINS: [(&str, HeteroKind, Policy, [u64; 4]); 18] = [
+    ("milc", HeteroKind::PcmDram, Policy::Unaware, [418195, 17933, 6958, 18281]),
+    ("milc", HeteroKind::PcmDram, Policy::VbiHotness, [328650, 17933, 6841, 18398]),
+    ("milc", HeteroKind::PcmDram, Policy::Ideal, [107595, 17933, 25239, 0]),
+    ("milc", HeteroKind::TlDram, Policy::Unaware, [108915, 17933, 3520, 21719]),
+    ("milc", HeteroKind::TlDram, Policy::VbiHotness, [104899, 17933, 3490, 21749]),
+    ("milc", HeteroKind::TlDram, Policy::Ideal, [86788, 17933, 19944, 5295]),
+    ("bwaves-17", HeteroKind::PcmDram, Policy::Unaware, [271847, 17900, 5879, 18536]),
+    ("bwaves-17", HeteroKind::PcmDram, Policy::VbiHotness, [244642, 17900, 4039, 20376]),
+    ("bwaves-17", HeteroKind::PcmDram, Policy::Ideal, [72698, 17900, 24415, 0]),
+    ("bwaves-17", HeteroKind::TlDram, Policy::Unaware, [72742, 17900, 3121, 21294]),
+    ("bwaves-17", HeteroKind::TlDram, Policy::VbiHotness, [72852, 17900, 1790, 22625]),
+    ("bwaves-17", HeteroKind::TlDram, Policy::Ideal, [53661, 17900, 24415, 0]),
+    ("sphinx3", HeteroKind::PcmDram, Policy::Unaware, [761505, 25937, 7698, 15498]),
+    ("sphinx3", HeteroKind::PcmDram, Policy::VbiHotness, [309699, 25937, 10638, 12558]),
+    ("sphinx3", HeteroKind::PcmDram, Policy::Ideal, [161750, 25937, 23196, 0]),
+    ("sphinx3", HeteroKind::TlDram, Policy::Unaware, [163267, 25937, 3584, 19612]),
+    ("sphinx3", HeteroKind::TlDram, Policy::VbiHotness, [125992, 25937, 10638, 12558]),
+    ("sphinx3", HeteroKind::TlDram, Policy::Ideal, [109838, 25937, 23196, 0]),
 ];
