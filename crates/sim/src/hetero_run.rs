@@ -100,6 +100,10 @@ pub fn run_hetero(
         if r.level == HitLevel::Memory {
             memory.access(access.region, access.offset, access.is_write);
         }
+        for wb in r.llc_writebacks {
+            let region = bases.iter().rposition(|&b| b <= wb).unwrap_or(0);
+            memory.access(region, wb - bases[region], true);
+        }
     }
 
     let mut instructions = 0u64;
@@ -172,6 +176,26 @@ mod tests {
         let unaware = run_hetero(HeteroKind::TlDram, Policy::Unaware, &spec, &quick());
         let ideal = run_hetero(HeteroKind::TlDram, Policy::Ideal, &spec, &quick());
         assert!(ideal.speedup_over(&unaware) >= 0.95, "{}", ideal.speedup_over(&unaware));
+    }
+
+    #[test]
+    fn warm_up_write_backs_reach_the_memory() {
+        // milc evicts dirty lines from the LLC within its first 20 000
+        // accesses. A run that is all warm-up must show every LLC miss and
+        // every LLC write-back of those accesses at the memory.
+        let spec = benchmark("milc").unwrap();
+        let cfg = EngineConfig { accesses: 0, warmup: 20_000, ..quick() };
+        let mut caches = CacheHierarchy::per_core_default();
+        let bases = region_bases(&spec);
+        let (mut misses, mut writebacks) = (0, 0);
+        for access in spec.trace(cfg.seed).take(cfg.warmup) {
+            let r = caches.access(bases[access.region] + access.offset, access.is_write);
+            misses += (r.level == HitLevel::Memory) as u64;
+            writebacks += r.llc_writebacks.len() as u64;
+        }
+        assert!(writebacks > 0, "milc's warm-up evicts dirty lines");
+        let stats = run_hetero(HeteroKind::PcmDram, Policy::Unaware, &spec, &cfg).stats;
+        assert_eq!(stats.fast_accesses + stats.slow_accesses, misses + writebacks);
     }
 
     #[test]

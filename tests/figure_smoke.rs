@@ -207,22 +207,22 @@ const PINS: [(&str, &str, [u64; 6]); 52] = [
 /// regenerates this table and says why.
 #[rustfmt::skip]
 const HETERO_PINS: [(&str, HeteroKind, Policy, [u64; 4]); 18] = [
-    ("milc", HeteroKind::PcmDram, Policy::Unaware, [418195, 17933, 6958, 18281]),
-    ("milc", HeteroKind::PcmDram, Policy::VbiHotness, [328650, 17933, 6841, 18398]),
-    ("milc", HeteroKind::PcmDram, Policy::Ideal, [107595, 17933, 25239, 0]),
-    ("milc", HeteroKind::TlDram, Policy::Unaware, [108915, 17933, 3520, 21719]),
-    ("milc", HeteroKind::TlDram, Policy::VbiHotness, [104899, 17933, 3490, 21749]),
-    ("milc", HeteroKind::TlDram, Policy::Ideal, [86788, 17933, 19944, 5295]),
-    ("bwaves-17", HeteroKind::PcmDram, Policy::Unaware, [271847, 17900, 5879, 18536]),
-    ("bwaves-17", HeteroKind::PcmDram, Policy::VbiHotness, [244642, 17900, 4039, 20376]),
-    ("bwaves-17", HeteroKind::PcmDram, Policy::Ideal, [72698, 17900, 24415, 0]),
-    ("bwaves-17", HeteroKind::TlDram, Policy::Unaware, [72742, 17900, 3121, 21294]),
-    ("bwaves-17", HeteroKind::TlDram, Policy::VbiHotness, [72852, 17900, 1790, 22625]),
-    ("bwaves-17", HeteroKind::TlDram, Policy::Ideal, [53661, 17900, 24415, 0]),
-    ("sphinx3", HeteroKind::PcmDram, Policy::Unaware, [761505, 25937, 7698, 15498]),
-    ("sphinx3", HeteroKind::PcmDram, Policy::VbiHotness, [309699, 25937, 10638, 12558]),
-    ("sphinx3", HeteroKind::PcmDram, Policy::Ideal, [161750, 25937, 23196, 0]),
-    ("sphinx3", HeteroKind::TlDram, Policy::Unaware, [163267, 25937, 3584, 19612]),
-    ("sphinx3", HeteroKind::TlDram, Policy::VbiHotness, [125992, 25937, 10638, 12558]),
-    ("sphinx3", HeteroKind::TlDram, Policy::Ideal, [109838, 25937, 23196, 0]),
+    ("milc", HeteroKind::PcmDram, Policy::Unaware, [418195, 17933, 8619, 22473]),
+    ("milc", HeteroKind::PcmDram, Policy::VbiHotness, [331613, 17933, 9643, 21449]),
+    ("milc", HeteroKind::PcmDram, Policy::Ideal, [107595, 17933, 31092, 0]),
+    ("milc", HeteroKind::TlDram, Policy::Unaware, [108915, 17933, 4371, 26721]),
+    ("milc", HeteroKind::TlDram, Policy::VbiHotness, [105072, 17933, 4881, 26211]),
+    ("milc", HeteroKind::TlDram, Policy::Ideal, [86788, 17933, 24487, 6605]),
+    ("bwaves-17", HeteroKind::PcmDram, Policy::Unaware, [271847, 17900, 6365, 20104]),
+    ("bwaves-17", HeteroKind::PcmDram, Policy::VbiHotness, [243890, 17900, 4763, 21706]),
+    ("bwaves-17", HeteroKind::PcmDram, Policy::Ideal, [72698, 17900, 26469, 0]),
+    ("bwaves-17", HeteroKind::TlDram, Policy::Unaware, [72742, 17900, 3370, 23099]),
+    ("bwaves-17", HeteroKind::TlDram, Policy::VbiHotness, [73503, 17900, 1907, 24562]),
+    ("bwaves-17", HeteroKind::TlDram, Policy::Ideal, [53661, 17900, 26469, 0]),
+    ("sphinx3", HeteroKind::PcmDram, Policy::Unaware, [761505, 25937, 7700, 15498]),
+    ("sphinx3", HeteroKind::PcmDram, Policy::VbiHotness, [309699, 25937, 10640, 12558]),
+    ("sphinx3", HeteroKind::PcmDram, Policy::Ideal, [161750, 25937, 23198, 0]),
+    ("sphinx3", HeteroKind::TlDram, Policy::Unaware, [163267, 25937, 3584, 19614]),
+    ("sphinx3", HeteroKind::TlDram, Policy::VbiHotness, [125992, 25937, 10640, 12558]),
+    ("sphinx3", HeteroKind::TlDram, Policy::Ideal, [109838, 25937, 23198, 0]),
 ];
