@@ -2,9 +2,10 @@
 //! hotness-unaware PCM-DRAM mapping, with the IDEAL oracle as upper bound.
 
 use vbi_bench::figure_config;
+use vbi_sim::engine::run;
 use vbi_sim::hetero::memory::{HeteroKind, Policy};
-use vbi_sim::hetero_run::run_hetero;
 use vbi_sim::report::mean;
+use vbi_sim::systems::SystemKind;
 use vbi_sim::workloads::spec::{benchmark, HETERO_BENCHMARKS};
 
 pub fn main() {
@@ -19,11 +20,12 @@ pub fn main() {
     println!("{:<16}{:>14}{:>14}", "workload", "VBI", "IDEAL");
     println!("{}", "-".repeat(44));
     for name in HETERO_BENCHMARKS {
-        let spec = benchmark(name).expect("hetero benchmark exists");
+        // No initialization phase: the regions start unwritten.
+        let spec = benchmark(name).expect("hetero benchmark exists").without_init();
         eprintln!("[fig9] {name} ...");
-        let unaware = run_hetero(kind, Policy::Unaware, &spec, &cfg);
-        let vbi = run_hetero(kind, Policy::VbiHotness, &spec, &cfg);
-        let ideal = run_hetero(kind, Policy::Ideal, &spec, &cfg);
+        let unaware = run(SystemKind::Hetero(kind, Policy::Unaware), &spec, &cfg);
+        let vbi = run(SystemKind::Hetero(kind, Policy::VbiHotness), &spec, &cfg);
+        let ideal = run(SystemKind::Hetero(kind, Policy::Ideal), &spec, &cfg);
         let vs = vbi.speedup_over(&unaware);
         let is = ideal.speedup_over(&unaware);
         println!("{name:<16}{vs:>14.2}{is:>14.2}");

@@ -1,4 +1,4 @@
-//! The trace-driven execution engine.
+//! The trace-driven execution engine: the one run loop of all five figures.
 //!
 //! Replays a workload's access stream against one system configuration and
 //! produces cycle counts. The core model follows the paper's setup (Table
@@ -6,8 +6,10 @@
 //! misses. Committed instructions cost `1/4` cycle each; memory stalls are
 //! divided by the workload's memory-level-parallelism factor except for
 //! serially dependent (pointer-chasing) accesses, which expose their full
-//! latency.
+//! latency. Page migration in a two-speed memory takes device time from the
+//! application and is added whole.
 
+use crate::hetero::memory::HeteroStats;
 use crate::workloads::trace::WorkloadSpec;
 
 use crate::systems::{build_system, SystemCounters, SystemKind};
@@ -44,6 +46,9 @@ pub struct RunResult {
     pub cycles: u64,
     /// System counters after warm-up.
     pub counters: SystemCounters,
+    /// A two-speed memory's placement statistics over the whole run, warm-up
+    /// included (`None` on DDR3).
+    pub hetero: Option<HeteroStats>,
 }
 
 impl RunResult {
@@ -61,9 +66,7 @@ impl RunResult {
 
 /// Runs `spec` on `system_kind` and returns the result.
 pub fn run(system_kind: SystemKind, spec: &WorkloadSpec, config: &EngineConfig) -> RunResult {
-    let mut system = build_system(system_kind, config.phys_frames);
-    let sizes: Vec<u64> = spec.regions.iter().map(|r| r.bytes).collect();
-    system.attach_regions(&sizes);
+    let mut system = build_system(system_kind, spec, config);
 
     // Initialization phase: programs write their data before reading it.
     // One store per initialized page allocates physical memory everywhere
@@ -96,22 +99,22 @@ pub fn run(system_kind: SystemKind, spec: &WorkloadSpec, config: &EngineConfig) 
     let mut instructions: u64 = 0;
     let mut cycles_x4: u64 = 0; // fixed-point: quarter cycles
     for access in trace.take(config.accesses) {
-        // Non-memory instructions retire at the issue width.
         instructions += access.gap as u64 + 1;
-        cycles_x4 += access.gap as u64;
-
         let stall = system.access(access.region, access.offset, access.is_write) as f64;
         // Independent misses overlap in the ROB; dependent ones serialize.
         let exposed = if access.dependent { stall } else { stall / spec.mlp };
-        cycles_x4 += (exposed * 4.0) as u64;
+        // Non-memory instructions retire at the issue width.
+        cycles_x4 += access.gap as u64 + (exposed * 4.0) as u64;
     }
 
+    let counters = system.counters();
     RunResult {
         workload: spec.name,
         system: system_kind,
         instructions,
-        cycles: (cycles_x4 / 4).max(1),
-        counters: system.counters(),
+        cycles: (cycles_x4 / 4 + counters.migration_cycles).max(1),
+        counters,
+        hetero: system.hetero_stats(),
     }
 }
 

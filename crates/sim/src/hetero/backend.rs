@@ -64,8 +64,8 @@ impl SlowTierBackend {
     }
 
     /// One device access for `slot`, charged to the accumulated cycles.
-    fn charge(&mut self, slot: SwapSlot, is_write: bool) {
-        self.cycles += self.tier.access(SWAP_REGION, slot.0 * PAGE_BYTES, is_write);
+    fn charge(&mut self, slot: SwapSlot) {
+        self.cycles += self.tier.access(SWAP_REGION, slot.0 * PAGE_BYTES);
     }
 }
 
@@ -75,7 +75,7 @@ impl PressureBackend for SlowTierBackend {
             return Err(data);
         }
         let slot = self.pages.store(data);
-        self.charge(slot, true);
+        self.charge(slot);
         Ok(slot)
     }
 
@@ -90,7 +90,7 @@ impl PressureBackend for SlowTierBackend {
     fn load(&mut self, slot: SwapSlot) -> Option<PageData> {
         let data = self.pages.load(slot);
         if data.is_some() {
-            self.charge(slot, false);
+            self.charge(slot);
         }
         data
     }
@@ -108,8 +108,8 @@ impl PressureBackend for SlowTierBackend {
         let had_payload = self.pages.peek(slot).is_some();
         let dup = self.pages.duplicate(slot);
         if had_payload {
-            self.charge(slot, false);
-            self.charge(dup, true);
+            self.charge(slot);
+            self.charge(dup);
         }
         Ok(dup)
     }

@@ -27,7 +27,7 @@ use super::hotness::HotnessTracker;
 pub const PAGE_BYTES: u64 = 4096;
 
 /// The two heterogeneous architectures evaluated in §7.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeteroKind {
     /// PCM main memory with a small DRAM fast region (Ramos et al. \[107\]).
     PcmDram,
@@ -36,7 +36,7 @@ pub enum HeteroKind {
 }
 
 /// Placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Hotness-unaware first-touch placement (the normalization baseline of
     /// Figures 9 and 10).
@@ -47,18 +47,10 @@ pub enum Policy {
     Ideal,
 }
 
+#[derive(Debug)]
 enum DeviceImpl {
     Hybrid(HybridMemory),
     TlDram(TlDramController),
-}
-
-impl std::fmt::Debug for DeviceImpl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeviceImpl::Hybrid(_) => f.write_str("Hybrid"),
-            DeviceImpl::TlDram(_) => f.write_str("TlDram"),
-        }
-    }
 }
 
 /// Statistics for a heterogeneous memory.
@@ -95,7 +87,7 @@ impl HeteroStats {
 ///
 /// let mut mem = HeteroMemory::new(HeteroKind::PcmDram, 1 << 20, Policy::VbiHotness, 10_000);
 /// mem.register_region(0, 64 << 10);
-/// let _cycles = mem.access(0, 0, false);
+/// let _cycles = mem.access(0, 0);
 /// ```
 #[derive(Debug)]
 pub struct HeteroMemory {
@@ -214,7 +206,7 @@ impl HeteroMemory {
         }
     }
 
-    fn assign_address(&mut self, region: usize, page: u64, fast: bool) -> u64 {
+    fn assign_address(&mut self, fast: bool) -> u64 {
         if fast {
             let addr = self.fast_cursor % self.fast_bytes;
             self.fast_cursor += PAGE_BYTES;
@@ -222,14 +214,13 @@ impl HeteroMemory {
         } else {
             let addr = self.slow_cursor;
             self.slow_cursor += PAGE_BYTES;
-            let _ = (region, page);
             addr
         }
     }
 
     /// Serves one main-memory access (an LLC miss or writeback) `offset`
     /// bytes into `region`, returning the service latency in CPU cycles.
-    pub fn access(&mut self, region: usize, offset: u64, _is_write: bool) -> u64 {
+    pub fn access(&mut self, region: usize, offset: u64) -> u64 {
         let page = offset / PAGE_BYTES;
         self.tracker.record(region, page);
 
@@ -237,7 +228,7 @@ impl HeteroMemory {
         let key = (region, page);
         if !self.addresses.contains_key(&key) {
             let fast = self.place_new(region, page);
-            let addr = self.assign_address(region, page, fast);
+            let addr = self.assign_address(fast);
             self.addresses.insert(key, addr);
         }
 
@@ -248,7 +239,7 @@ impl HeteroMemory {
         let addr = self.addresses[&key];
         let have_fast = addr < self.fast_bytes;
         let addr = if want_fast != have_fast && self.policy == Policy::VbiHotness {
-            let new_addr = self.assign_address(region, page, want_fast);
+            let new_addr = self.assign_address(want_fast);
             self.addresses.insert(key, new_addr);
             self.stats.pages_migrated += 1;
             self.stats.migration_cycles += self.migration_cycles_per_page;
@@ -318,10 +309,10 @@ mod tests {
         mem.register_region(1, 4096 * PAGE_BYTES);
         for round in 0..rounds {
             for page in 0..16u64 {
-                mem.access(0, page * PAGE_BYTES, false);
+                mem.access(0, page * PAGE_BYTES);
             }
             // One cold touch per round, wandering.
-            mem.access(1, ((round as u64 * 37) % 4096) * PAGE_BYTES, false);
+            mem.access(1, ((round as u64 * 37) % 4096) * PAGE_BYTES);
         }
     }
 
@@ -342,7 +333,7 @@ mod tests {
             HeteroMemory::new(HeteroKind::PcmDram, 64 * PAGE_BYTES, Policy::Unaware, 1 << 60);
         mem.register_region(0, 256 * PAGE_BYTES);
         for page in 0..256u64 {
-            mem.access(0, page * PAGE_BYTES, false);
+            mem.access(0, page * PAGE_BYTES);
         }
         let s = mem.stats();
         let frac = s.fast_fraction();
@@ -361,7 +352,7 @@ mod tests {
         let mut cold_fast = 0;
         for page in 0..512u64 {
             let before = mem.stats().fast_accesses;
-            mem.access(0, page * PAGE_BYTES, false);
+            mem.access(0, page * PAGE_BYTES);
             let went_fast = mem.stats().fast_accesses > before;
             if page < 64 {
                 hot_fast += went_fast as u32;
@@ -380,9 +371,9 @@ mod tests {
         let mut mem = HeteroMemory::new(HeteroKind::TlDram, 2 * PAGE_BYTES, Policy::Ideal, 100);
         mem.register_region(0, 64 * PAGE_BYTES);
         mem.set_oracle(&[((0, 7), 1000), ((0, 9), 500), ((0, 1), 10)]);
-        mem.access(0, 7 * PAGE_BYTES, false);
-        mem.access(0, 9 * PAGE_BYTES, false);
-        mem.access(0, PAGE_BYTES, false); // beyond fast capacity
+        mem.access(0, 7 * PAGE_BYTES);
+        mem.access(0, 9 * PAGE_BYTES);
+        mem.access(0, PAGE_BYTES); // beyond fast capacity
         assert_eq!(mem.stats().fast_accesses, 2);
         assert_eq!(mem.stats().slow_accesses, 1);
     }
@@ -408,8 +399,8 @@ mod tests {
         let mut fast_total = 0;
         let mut slow_total = 0;
         for i in 0..256u64 {
-            fast_total += fast_mem.access(0, (i * 97) % (1 << 20), false);
-            slow_total += slow_mem.access(0, (i * 97) % (1 << 20), false);
+            fast_total += fast_mem.access(0, (i * 97) % (1 << 20));
+            slow_total += slow_mem.access(0, (i * 97) % (1 << 20));
         }
         assert!(slow_total > fast_total, "slow {slow_total} vs fast {fast_total}");
     }

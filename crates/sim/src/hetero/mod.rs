@@ -18,7 +18,7 @@
 //!
 //! let mut mem = HeteroMemory::new(HeteroKind::TlDram, 1 << 20, Policy::VbiHotness, 1000);
 //! mem.register_region(0, 64 << 10);
-//! let cycles = mem.access(0, 0, false);
+//! let cycles = mem.access(0, 0);
 //! assert!(cycles > 0);
 //! ```
 

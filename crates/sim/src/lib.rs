@@ -1,7 +1,7 @@
 //! # vbi-sim — the paper's §7 evaluation, reproduced
 //!
-//! Replays seeded workload traces against the ten system configurations of
-//! the paper's evaluation (§7) and reports paper-shaped speedup tables. The
+//! Replays seeded workload traces against the system configurations of the
+//! paper's evaluation (§7) and reports paper-shaped speedup tables. The
 //! crate holds the whole reproduction, from the memory substrate up:
 //!
 //! * [`mem`] — caches, DRAM/PCM/TL-DRAM timing and memory controllers
@@ -13,12 +13,14 @@
 //! * [`hetero`] — PCM-DRAM and TL-DRAM placement policies, and a slow-tier
 //!   backing store priced by them;
 //! * [`systems`] — `Native`, `Native-2M`, `Virtual`, `Virtual-2M`,
-//!   `Perfect TLB`, `VIVT`, `Enigma-HW-2M`, `VBI-1`, `VBI-2`, `VBI-Full`;
-//! * [`engine`] — the single-core trace engine (4-wide core, MLP-overlapped
-//!   stalls, warm-up + measurement);
-//! * [`multicore`] — quad-core bundles and weighted speedup (Figure 8);
-//! * [`hetero_run`] — PCM-DRAM and TL-DRAM placement experiments
-//!   (Figures 9-10);
+//!   `Perfect TLB`, `VIVT`, `Enigma-HW-2M`, `VBI-1`, `VBI-2`, `VBI-Full`,
+//!   and `Hetero`, VBI's untranslated front end over a two-speed memory;
+//! * [`engine`] — the one run loop of all five figures: a 4-wide core,
+//!   MLP-overlapped stalls, init phase, warm-up and measurement;
+//! * [`multicore`] — the four apps of a bundle and weighted speedup
+//!   (Figure 8);
+//! * [`hetero_run`] — the parameters of the PCM-DRAM and TL-DRAM placement
+//!   experiments (Figures 9-10) and their IDEAL oracle;
 //! * [`report`] — speedup tables with `AVG` / `AVG-no-mcf` rows.
 //!
 //! It depends on `vbi-core` and the seeded `rand` alone: the concurrent

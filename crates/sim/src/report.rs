@@ -148,6 +148,7 @@ mod tests {
             instructions: ipc_millis,
             cycles: 1000,
             counters: SystemCounters::default(),
+            hetero: None,
         }
     }
 

@@ -1,20 +1,23 @@
 //! The ten system configurations of the evaluation (§7.2).
 //!
-//! Every system is one `Machine`: a cache hierarchy, DDR3 memory, the
-//! memory controller's table cache and a translator. Given one trace record
-//! it returns the stall cycles the access exposes to the core and keeps
-//! counters. The systems differ only in the translator, which fixes where
-//! translation sits, where its walk references go, and how many of its
-//! cycles hide behind the LLC lookup (`CacheTiming`'s `llc`, 31 cycles):
+//! Every system is one `Machine`: a cache hierarchy, a memory, the memory
+//! controller's table cache and a translator. Given one trace record it
+//! returns the stall cycles the access exposes to the core and keeps
+//! counters. The ten systems of Figures 6-8 share Table 1's DDR3 memory and
+//! differ only in the translator, which fixes where translation sits, where
+//! its walk references go, and how many of its cycles hide behind the LLC
+//! lookup (`CacheTiming`'s `llc`, 31 cycles). Figures 9-10 keep the caches
+//! and swap the memory for a two-speed one that places pages itself:
 //!
-//! | system | translator | placement | walk references | overlap |
-//! |---|---|---|---|---|
-//! | `Native`, `Native-2M` | `Native`: TLBs + 4/3-level walk + PWC | before L1 | caches | — |
-//! | `Virtual`, `Virtual-2M` | `Nested`: TLBs + two-dimensional walk | before L1 | caches | — |
-//! | `Perfect TLB` | `Perfect`: free | before L1 | none | — |
-//! | `VIVT` | `Vivt`: TLBs + 4-level walk + PWC | LLC miss | caches | LLC |
-//! | `Enigma-HW-2M` | `Enigma`: 16K CTC + HW walk | LLC miss | table cache | none |
-//! | `VBI-1/2/Full` | `Vbi`: MTL (per-VB structures) | LLC miss | table cache | LLC |
+//! | system | translator | placement | walk references | overlap | memory |
+//! |---|---|---|---|---|---|
+//! | `Native`, `Native-2M` | `Native`: TLBs + 4/3-level walk + PWC | before L1 | caches | — | DDR3 |
+//! | `Virtual`, `Virtual-2M` | `Nested`: TLBs + two-dimensional walk | before L1 | caches | — | DDR3 |
+//! | `Perfect TLB` | `Perfect`: free | before L1 | none | — | DDR3 |
+//! | `VIVT` | `Vivt`: TLBs + 4-level walk + PWC | LLC miss | caches | LLC | DDR3 |
+//! | `Enigma-HW-2M` | `Enigma`: 16K CTC + HW walk | LLC miss | table cache | none | DDR3 |
+//! | `VBI-1/2/Full` | `Vbi`: MTL (per-VB structures) | LLC miss | table cache | LLC | DDR3 |
+//! | `Hetero` (Figures 9-10) | `Untranslated`: free, no TLB | — | none | — | PCM-DRAM or TL-DRAM |
 //!
 //! At an LLC miss the caches see virtual, intermediate or VBI addresses, and
 //! each LLC write-back is translated too. What else follows, written once:
@@ -28,17 +31,22 @@
 //!   caches: a translation access only if it reaches memory, and its LLC
 //!   write-backs are dropped.
 //! - A zero line (§5.1) is neither read on a demand miss nor written back.
-//! - Regions are laid out by `layout_regions`, Enigma's `IaSpace`, or as
-//!   one VB each (`VBI`, whose warm-up boundary also resets the MTL's stats).
+//! - Regions are laid out by `layout_regions`, Enigma's `IaSpace`, as one
+//!   VB each (`VBI`, whose warm-up boundary also resets the MTL's stats), or
+//!   back to back by `packed_layout` (`Untranslated`).
 
 use crate::baselines::enigma::{EnigmaController, IaSpace};
 use crate::baselines::mmu::{MmuTranslation, NativeMmu, PerfectMmu, L2_TLB_LATENCY};
 use crate::baselines::nested::NestedMmu;
 use crate::baselines::page_table::PageSize;
+use crate::engine::EngineConfig;
+use crate::hetero::memory::{HeteroKind, HeteroMemory, HeteroStats, Policy, PAGE_BYTES};
+use crate::hetero_run::{fast_bytes_for, ideal_ranking, EPOCH_ACCESSES};
 use crate::mem::cache::Cache;
 use crate::mem::controller::MemoryController;
 use crate::mem::hierarchy::{CacheHierarchy, HitLevel};
 use crate::mem::timing::CacheTiming;
+use crate::workloads::trace::WorkloadSpec;
 use vbi_core::addr::{SizeClass, VbiAddress};
 use vbi_core::client::{ClientId, Cvt, CvtEntry};
 use vbi_core::config::VbiConfig;
@@ -71,6 +79,9 @@ pub enum SystemKind {
     Vbi2,
     /// VBI-2 plus early reservation (direct mapping).
     VbiFull,
+    /// VBI's untranslated front end over a two-speed memory placing pages
+    /// under a policy (Figures 9-10).
+    Hetero(HeteroKind, Policy),
 }
 
 impl SystemKind {
@@ -87,10 +98,13 @@ impl SystemKind {
             SystemKind::Vbi1 => "VBI-1",
             SystemKind::Vbi2 => "VBI-2",
             SystemKind::VbiFull => "VBI-Full",
+            SystemKind::Hetero(_, Policy::Unaware) => "unaware",
+            SystemKind::Hetero(_, Policy::VbiHotness) => "VBI",
+            SystemKind::Hetero(_, Policy::Ideal) => "IDEAL",
         }
     }
 
-    /// All systems, in figure order.
+    /// The ten systems of Figures 6-8, in figure order.
     pub const ALL: [SystemKind; 10] = [
         SystemKind::Native,
         SystemKind::Native2M,
@@ -118,12 +132,20 @@ pub struct SystemCounters {
     pub translation_accesses: u64,
     /// Zero-line returns (VBI-2+).
     pub zero_lines: u64,
+    /// Cycles a two-speed memory spent migrating pages.
+    pub migration_cycles: u64,
 }
 
-/// Builds the system for a kind, sized for `phys_frames` frames of memory.
-pub(crate) fn build_system(kind: SystemKind, phys_frames: u64) -> Machine {
+/// Builds the system for a kind, sized for `config.phys_frames` frames of
+/// memory, with `spec`'s regions attached.
+pub(crate) fn build_system(
+    kind: SystemKind,
+    spec: &WorkloadSpec,
+    config: &EngineConfig,
+) -> Machine {
+    let phys_frames = config.phys_frames;
     let vbi = |config: VbiConfig| Translator::vbi(VbiConfig { phys_frames, ..config });
-    Machine::new(match kind {
+    let translator = match kind {
         SystemKind::Native => Translator::Native(NativeMmu::new(PageSize::Kb4, phys_frames)),
         SystemKind::Native2M => Translator::Native(NativeMmu::new(PageSize::Mb2, phys_frames)),
         SystemKind::Virtual => Translator::Nested(NestedMmu::new(PageSize::Kb4, phys_frames)),
@@ -134,22 +156,44 @@ pub(crate) fn build_system(kind: SystemKind, phys_frames: u64) -> Machine {
         SystemKind::Vbi1 => vbi(VbiConfig::vbi_1()),
         SystemKind::Vbi2 => vbi(VbiConfig::vbi_2()),
         SystemKind::VbiFull => vbi(VbiConfig::vbi_full()),
-    })
+        SystemKind::Hetero(..) => Translator::Untranslated,
+    };
+    let memory = match kind {
+        SystemKind::Hetero(kind, policy) => {
+            let mut memory = HeteroMemory::new(kind, fast_bytes_for(kind), policy, EPOCH_ACCESSES);
+            for (i, region) in spec.regions.iter().enumerate() {
+                memory.register_region(i, region.bytes);
+            }
+            if policy == Policy::Ideal {
+                memory.set_oracle(&ideal_ranking(spec, config));
+            }
+            Memory::TwoSpeed(Box::new(memory))
+        }
+        _ => Memory::Ddr3(MemoryController::ddr3_1600()),
+    };
+    let mut machine = Machine::new(translator, memory);
+    let sizes: Vec<u64> = spec.regions.iter().map(|r| r.bytes).collect();
+    machine.attach_regions(&sizes);
+    machine
 }
 
-/// Lays regions out in a virtual address space with guard gaps, 2 MiB-aligned
-/// so large pages apply cleanly.
-fn layout_regions(sizes: &[u64]) -> Vec<u64> {
+/// Lays regions out from `start`, each `align`-aligned and followed by an
+/// `align`-sized guard gap.
+fn layout_regions(sizes: &[u64], start: u64, align: u64) -> Vec<u64> {
     let mut bases = Vec::with_capacity(sizes.len());
-    // Start high so virtual addresses never collide with physical addresses
-    // in systems whose cache hierarchy sees both (VIVT walks).
-    let mut cursor: u64 = 1 << 40;
+    let mut cursor = start;
     for &size in sizes {
-        cursor = cursor.next_multiple_of(2 << 20);
+        cursor = cursor.next_multiple_of(align);
         bases.push(cursor);
-        cursor += size.next_multiple_of(2 << 20) + (2 << 20);
+        cursor += size.next_multiple_of(align) + align;
     }
     bases
+}
+
+/// The address space an `Untranslated` machine's caches see: regions back to
+/// back from 0, a guard page apart.
+pub(crate) fn packed_layout(sizes: &[u64]) -> Vec<u64> {
+    layout_regions(sizes, 0, PAGE_BYTES)
 }
 
 /// Base of the in-memory CVT a VBI CVT-cache miss reads (16 B an entry).
@@ -200,6 +244,9 @@ enum Translator {
         cvt_cache: CvtCache,
         entries: Vec<CvtEntry>,
     },
+    /// No translation: the caches see the regions' packed layout, and a
+    /// two-speed memory places the pages behind it.
+    Untranslated,
 }
 
 impl Translator {
@@ -234,6 +281,7 @@ impl Translator {
             Translator::Perfect(mmu) => {
                 Translation { paddr: Some(mmu.translate(addr)), ..Default::default() }
             }
+            Translator::Untranslated => Translation { paddr: Some(addr), ..Default::default() },
             Translator::Enigma(ctc) => {
                 let t = ctc.translate(addr);
                 Translation { paddr: Some(t.paddr), walks: t.walk_accesses, ..Default::default() }
@@ -252,11 +300,19 @@ impl Translator {
     }
 }
 
+/// The memory behind the caches.
+enum Memory {
+    /// Table 1's DDR3-1600 channel.
+    Ddr3(MemoryController),
+    /// A PCM-DRAM or TL-DRAM memory that places pages by region and offset.
+    TwoSpeed(Box<HeteroMemory>),
+}
+
 /// A complete single-core memory system: address layout, caches, a
-/// translator and a memory controller.
+/// translator and a memory.
 pub(crate) struct Machine {
     caches: CacheHierarchy,
-    memory: MemoryController,
+    memory: Memory,
     /// A small SRAM cache at the memory controller holding translation
     /// entries: the working memory of the MTL's "programmable low-power core"
     /// (§4.5.3; Pinnacle-class controllers have such SRAM). Enigma's
@@ -269,10 +325,10 @@ pub(crate) struct Machine {
 }
 
 impl Machine {
-    fn new(translator: Translator) -> Self {
+    fn new(translator: Translator, memory: Memory) -> Self {
         Self {
             caches: CacheHierarchy::per_core_default(),
-            memory: MemoryController::ddr3_1600(),
+            memory,
             table_cache: Cache::new(256 << 10, 8),
             translator,
             bases: Vec::new(),
@@ -281,7 +337,7 @@ impl Machine {
     }
 
     /// Registers the workload's regions (sizes in bytes) before the run.
-    pub(crate) fn attach_regions(&mut self, sizes: &[u64]) {
+    fn attach_regions(&mut self, sizes: &[u64]) {
         self.bases = match &mut self.translator {
             Translator::Enigma(_) => {
                 let mut space = IaSpace::new();
@@ -301,7 +357,11 @@ impl Machine {
                 }
                 bases
             }
-            _ => layout_regions(sizes),
+            Translator::Untranslated => packed_layout(sizes),
+            // 2 MiB-aligned so large pages apply cleanly, and high so virtual
+            // addresses never collide with physical ones in systems whose
+            // cache hierarchy sees both (VIVT walks).
+            _ => layout_regions(sizes, 1 << 40, 2 << 20),
         };
     }
 
@@ -323,7 +383,7 @@ impl Machine {
             stall += cycles;
             match paddr {
                 Some(pa) => {
-                    stall += self.memory.service(pa);
+                    stall += self.serve(pa);
                     self.counters.dram_accesses += 1;
                 }
                 None => self.counters.zero_lines += 1,
@@ -332,7 +392,7 @@ impl Machine {
         for wb in data.llc_writebacks {
             // Write-backs leave the critical path but occupy the device.
             if let (Some(pa), _) = self.at_memory(wb, true) {
-                self.memory.service(pa);
+                self.serve(pa);
                 self.counters.dram_accesses += 1;
             }
         }
@@ -342,6 +402,15 @@ impl Machine {
     /// Accumulated counters.
     pub(crate) fn counters(&self) -> SystemCounters {
         self.counters
+    }
+
+    /// A two-speed memory's statistics over the whole run, warm-up included.
+    pub(crate) fn hetero_stats(&self) -> Option<HeteroStats> {
+        if let Memory::TwoSpeed(memory) = &self.memory {
+            Some(memory.stats())
+        } else {
+            None
+        }
     }
 
     /// Resets counters at the warm-up boundary (cache/TLB state persists).
@@ -368,7 +437,25 @@ impl Machine {
             return check.latency;
         }
         self.counters.translation_accesses += 1;
-        check.latency + self.memory.service(entry_addr)
+        check.latency + self.serve(entry_addr)
+    }
+
+    /// Serves one line at the memory and returns its latency. A two-speed
+    /// memory places by region and offset: the line's region is the last one
+    /// whose base is at or below it. The cycles of any page migration the
+    /// access sets off are counted, not returned: the core cannot overlap
+    /// them with its misses.
+    fn serve(&mut self, line: u64) -> u64 {
+        match &mut self.memory {
+            Memory::Ddr3(controller) => controller.service(line),
+            Memory::TwoSpeed(memory) => {
+                let region = self.bases.partition_point(|&base| base <= line) - 1;
+                let migrated = memory.stats().migration_cycles;
+                let latency = memory.access(region, line - self.bases[region]);
+                self.counters.migration_cycles += memory.stats().migration_cycles - migrated;
+                latency
+            }
+        }
     }
 
     /// The physical line for a cache line leaving the hierarchy, and the
@@ -395,17 +482,17 @@ impl Machine {
             if at_controller {
                 stall += TABLE_CACHE_HIT_CYCLES;
                 if !self.table_cache.access(pa, false).hit {
-                    stall += self.memory.service(pa);
+                    stall += self.serve(pa);
                 }
             } else {
                 // A CPU-side walker: page-table entries are cacheable.
                 let read = self.caches.access(pa, false);
                 stall += read.latency;
                 if read.level == HitLevel::Memory {
-                    stall += self.memory.service(pa);
+                    stall += self.serve(pa);
                 }
                 for wb in read.llc_writebacks {
-                    self.memory.service(wb);
+                    self.serve(wb);
                 }
             }
         }
@@ -416,8 +503,28 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::patterns::Pattern;
+    use crate::workloads::trace::RegionSpec;
 
     const FRAMES: u64 = 1 << 18; // 1 GiB
+
+    /// A machine of `kind` on 1 GiB with regions of `sizes` bytes attached.
+    fn machine(kind: SystemKind, sizes: &[u64]) -> Machine {
+        let region = |bytes| RegionSpec {
+            bytes,
+            pattern: Pattern::RandomUniform,
+            write_fraction: 0.0,
+            weight: 1.0,
+            init_fraction: 1.0,
+        };
+        let spec = WorkloadSpec {
+            name: "sizes",
+            regions: sizes.iter().map(|&bytes| region(bytes)).collect(),
+            mean_gap: 0,
+            mlp: 1.0,
+        };
+        build_system(kind, &spec, &EngineConfig { phys_frames: FRAMES, ..EngineConfig::default() })
+    }
 
     fn touch(system: &mut Machine, n: u64) -> u64 {
         let mut stall = 0;
@@ -435,8 +542,7 @@ mod tests {
         // after the init phase).
         let pinned = [78746, 78534, 79562, 78876, 78250, 78628, 78441, 78488, 43144, 43144];
         for (kind, pin) in SystemKind::ALL.into_iter().zip(pinned) {
-            let mut system = build_system(kind, FRAMES);
-            system.attach_regions(&[1 << 20, 1 << 16]);
+            let mut system = machine(kind, &[1 << 20, 1 << 16]);
             assert_eq!(touch(&mut system, 1000), pin, "{}", kind.label());
             let _ = system.access(1, 0, true);
         }
@@ -444,10 +550,8 @@ mod tests {
 
     #[test]
     fn perfect_tlb_beats_native_on_tlb_hostile_streams() {
-        let mut native = build_system(SystemKind::Native, FRAMES);
-        let mut perfect = build_system(SystemKind::PerfectTlb, FRAMES);
-        native.attach_regions(&[256 << 20]);
-        perfect.attach_regions(&[256 << 20]);
+        let mut native = machine(SystemKind::Native, &[256 << 20]);
+        let mut perfect = machine(SystemKind::PerfectTlb, &[256 << 20]);
         let mut native_stall = 0;
         let mut perfect_stall = 0;
         // Page-stride pattern: every access a new page.
@@ -463,10 +567,8 @@ mod tests {
 
     #[test]
     fn virtual_walks_cost_more_than_native_walks() {
-        let mut native = build_system(SystemKind::Native, FRAMES);
-        let mut virt = build_system(SystemKind::Virtual, FRAMES);
-        native.attach_regions(&[256 << 20]);
-        virt.attach_regions(&[256 << 20]);
+        let mut native = machine(SystemKind::Native, &[256 << 20]);
+        let mut virt = machine(SystemKind::Virtual, &[256 << 20]);
         for i in 0..20_000u64 {
             let off = (i * 4096 * 7) % (256 << 20);
             native.access(0, off, false);
@@ -477,8 +579,7 @@ mod tests {
 
     #[test]
     fn vbi2_returns_zero_lines_for_untouched_data() {
-        let mut vbi = build_system(SystemKind::Vbi2, FRAMES);
-        vbi.attach_regions(&[64 << 20]);
+        let mut vbi = machine(SystemKind::Vbi2, &[64 << 20]);
         // Pure reads over fresh memory: all LLC misses become zero lines.
         for i in 0..1000u64 {
             vbi.access(0, i * 4096, false);
@@ -490,8 +591,7 @@ mod tests {
 
     #[test]
     fn vbi_full_direct_maps_and_avoids_walks() {
-        let mut vbi = build_system(SystemKind::VbiFull, FRAMES);
-        vbi.attach_regions(&[64 << 20]);
+        let mut vbi = machine(SystemKind::VbiFull, &[64 << 20]);
         // Write everything once (allocates), then re-read with cold caches.
         for i in 0..10_000u64 {
             vbi.access(0, i * 4096 % (64 << 20), true);

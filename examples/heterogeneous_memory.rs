@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example heterogeneous_memory`
 
 use vbi::hetero::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
-use vbi::sim::engine::EngineConfig;
-use vbi::sim::hetero_run::run_hetero;
+use vbi::sim::engine::{run, EngineConfig, RunResult};
+use vbi::sim::systems::SystemKind;
 use vbi::workloads::spec::benchmark;
 
 fn main() {
@@ -20,9 +20,9 @@ fn main() {
 
     for round in 0..200u64 {
         for page in 0..32 {
-            memory.access(0, page * PAGE_BYTES, false);
+            memory.access(0, page * PAGE_BYTES);
         }
-        memory.access(1, (round * 131) % 4096 * PAGE_BYTES, false);
+        memory.access(1, (round * 131) % 4096 * PAGE_BYTES);
     }
     let stats = memory.stats();
     println!(
@@ -32,21 +32,23 @@ fn main() {
         stats.pages_migrated
     );
 
-    // Then the experiment shape of Figures 9 and 10 on one benchmark.
+    // Then the experiment shape of Figures 9 and 10 on one benchmark: the
+    // same machine and run loop as every other figure, with the DDR3 memory
+    // swapped for a two-speed one.
     let cfg = EngineConfig { accesses: 40_000, warmup: 4_000, seed: 2020, phys_frames: 1 << 20 };
-    let spec = benchmark("sphinx3").expect("known benchmark");
+    let spec = benchmark("sphinx3").expect("known benchmark").without_init();
     for kind in [HeteroKind::PcmDram, HeteroKind::TlDram] {
-        let unaware = run_hetero(kind, Policy::Unaware, &spec, &cfg);
-        let vbi = run_hetero(kind, Policy::VbiHotness, &spec, &cfg);
-        let ideal = run_hetero(kind, Policy::Ideal, &spec, &cfg);
+        let [unaware, vbi, ideal] = [Policy::Unaware, Policy::VbiHotness, Policy::Ideal]
+            .map(|policy| run(SystemKind::Hetero(kind, policy), &spec, &cfg));
+        let fast = |r: &RunResult| r.hetero.expect("a two-speed memory").fast_fraction() * 100.0;
         println!(
             "{kind:?} on sphinx3: VBI {:.2}x, IDEAL {:.2}x over hotness-unaware \
              (fast fractions {:.0}% / {:.0}% / {:.0}%)",
             vbi.speedup_over(&unaware),
             ideal.speedup_over(&unaware),
-            unaware.fast_fraction * 100.0,
-            vbi.fast_fraction * 100.0,
-            ideal.fast_fraction * 100.0,
+            fast(&unaware),
+            fast(&vbi),
+            fast(&ideal),
         );
     }
 }

@@ -3,7 +3,6 @@
 
 use vbi::hetero::memory::{HeteroKind, Policy};
 use vbi::sim::engine::{run, EngineConfig};
-use vbi::sim::hetero_run::run_hetero;
 use vbi::sim::multicore::{run_alone_native, run_bundle};
 use vbi::sim::report::SpeedupTable;
 use vbi::sim::systems::SystemKind;
@@ -58,12 +57,12 @@ fn figure8_bundles_resolve_and_run() {
 
 #[test]
 fn figure9_and_10_policies_all_run() {
-    let spec = benchmark(HETERO_BENCHMARKS[0]).unwrap();
+    let spec = benchmark(HETERO_BENCHMARKS[0]).unwrap().without_init();
     for kind in [HeteroKind::PcmDram, HeteroKind::TlDram] {
         for policy in [Policy::Unaware, Policy::VbiHotness, Policy::Ideal] {
-            let r = run_hetero(kind, policy, &spec, &tiny());
+            let r = run(SystemKind::Hetero(kind, policy), &spec, &tiny());
             assert!(r.cycles > 0, "{kind:?} {policy:?}");
-            assert!((0.0..=1.0).contains(&r.fast_fraction));
+            assert!((0.0..=1.0).contains(&r.hetero.unwrap().fast_fraction()));
         }
     }
 }
@@ -76,8 +75,10 @@ fn figure9_and_10_cells_are_pinned() {
     // measured accesses start.
     let cfg = EngineConfig { accesses: 4_000, warmup: 20_000, seed: 2020, phys_frames: 1 << 19 };
     for (name, kind, policy, pin) in HETERO_PINS {
-        let r = run_hetero(kind, policy, &benchmark(name).unwrap(), &cfg);
-        let got = [r.cycles, r.instructions, r.stats.fast_accesses, r.stats.slow_accesses];
+        let spec = benchmark(name).unwrap().without_init();
+        let r = run(SystemKind::Hetero(kind, policy), &spec, &cfg);
+        let stats = r.hetero.unwrap();
+        let got = [r.cycles, r.instructions, stats.fast_accesses, stats.slow_accesses];
         assert_eq!(got, pin, "{name} on {kind:?} under {policy:?}");
     }
 }
