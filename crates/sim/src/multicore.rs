@@ -1,9 +1,10 @@
 //! Quad-core multiprogrammed simulation (Figure 8, Table 2).
 //!
-//! Four applications run together: private L1/L2/TLB state per core, a
-//! shared memory controller (bank contention is captured by the shared
-//! row-buffer state), and per-core cycle accounting. Following the paper,
-//! the reported metric is the *weighted speedup* normalized to `Native`:
+//! Four applications run on four private `Machine`s: each has its own
+//! caches, translation state and memory controller, a quarter of physical
+//! memory and the full per-app access count, and nothing is shared between
+//! them. Following the paper, the reported metric is the *weighted speedup*
+//! normalized to `Native`:
 //!
 //! ```text
 //! WS(system) = (1/4) * Σ_i IPC_i(system, shared) / IPC_i(Native, alone)
@@ -31,14 +32,8 @@ impl BundleResult {
     }
 }
 
-/// Runs a four-app bundle on `system_kind` with interleaved accesses and a
-/// shared memory system per core group.
-///
-/// Each app gets its own `Machine` (private caches and translation state —
-/// the paper's LLC is 2 MiB *per core*), while contention is modelled
-/// through the per-app engine running on a quarter of the simulated window.
-/// This captures the first-order effect the figure reports: how translation
-/// overhead scales when memory pressure quadruples.
+/// Runs a four-app bundle on `system_kind`, each app on its own machine
+/// with a quarter of physical memory.
 pub fn run_bundle(
     bundle: &'static str,
     system_kind: SystemKind,
@@ -46,29 +41,24 @@ pub fn run_bundle(
     config: &EngineConfig,
 ) -> BundleResult {
     assert_eq!(apps.len(), 4, "{bundle}: a Figure 8 bundle is four apps");
-    // Memory per app: a quarter of the machine.
-    let per_app = EngineConfig { phys_frames: config.phys_frames / 4, ..config.clone() };
-    let results = apps
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let cfg = EngineConfig { seed: per_app.seed + i as u64, ..per_app.clone() };
-            run(system_kind, spec, &cfg)
-        })
-        .collect();
-    BundleResult { apps: results }
+    let quarter = EngineConfig { phys_frames: config.phys_frames / 4, ..config.clone() };
+    BundleResult { apps: run_each(system_kind, apps, &quarter) }
 }
 
 /// Runs each app of a bundle alone on `Native` with the full machine — the
 /// normalization denominators of Figure 8.
 pub fn run_alone_native(apps: &[WorkloadSpec], config: &EngineConfig) -> Vec<RunResult> {
-    apps.iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let cfg = EngineConfig { seed: config.seed + i as u64, ..config.clone() };
-            run(SystemKind::Native, spec, &cfg)
-        })
-        .collect()
+    run_each(SystemKind::Native, apps, config)
+}
+
+/// Runs app `i` of `apps` on its own machine, with trace seed `seed + i`.
+fn run_each(
+    system_kind: SystemKind,
+    apps: &[WorkloadSpec],
+    config: &EngineConfig,
+) -> Vec<RunResult> {
+    let seeded = |i: usize| EngineConfig { seed: config.seed + i as u64, ..config.clone() };
+    apps.iter().enumerate().map(|(i, spec)| run(system_kind, spec, &seeded(i))).collect()
 }
 
 #[cfg(test)]
