@@ -13,8 +13,11 @@
 //! | `run_all` | everything above | `cargo run -p vbi-bench --release --bin run_all` |
 //!
 //! The trace length is configurable through `VBI_SIM_ACCESSES` (default
-//! 150 000 measured accesses + 10% warm-up); larger values sharpen the
-//! averages at proportional runtime cost.
+//! 150 000 measured accesses + 10% warm-up), at proportional runtime cost.
+//! The length is part of the result, not only its precision: longer runs
+//! move the VBI-2 and VBI-Full columns down (Figure 6's VBI-Full AVG reads
+//! 1.51 at 75 000 accesses and 1.34 at 1.2 M), and Figure 9's IDEAL column
+//! with them; the columns without a zero-line path hold.
 //!
 //! The library also holds [`migration`], the cross-shard migration driver
 //! of the `migration` bench: the one part of this crate that runs the

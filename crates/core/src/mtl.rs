@@ -313,7 +313,7 @@ impl Mtl {
     }
 
     /// Replaces the backing store behind this MTL — how a slow-tier model
-    /// (see `vbi-hetero`) is installed. Refused once pages have been
+    /// (see `vbi_sim::hetero`) is installed. Refused once pages have been
     /// swapped out: live slots would dangle in the old store.
     pub fn set_backing(&mut self, backend: Box<dyn PressureBackend>) -> Result<()> {
         if !self.swap.is_empty() {

@@ -86,7 +86,7 @@ impl From<Frame> for PhysAddr {
 /// Reads of never-written bytes return zero, mirroring hardware that
 /// zero-fills freshly allocated frames. The store is deliberately simple —
 /// correctness infrastructure for the functional model, not a timing model
-/// (timing lives in `vbi-mem-sim`).
+/// (timing lives in `vbi_sim::mem`).
 ///
 /// # Examples
 ///

@@ -9,7 +9,7 @@
 //! The store behind a shard is pluggable: [`PressureBackend`] abstracts the
 //! slot operations the MTL needs, so the default in-memory [`BackingStore`]
 //! can be swapped for a capacity-bounded or slow-tier model (see
-//! `vbi-hetero`'s `SlowTierBackend`) without the MTL noticing.
+//! `vbi_sim::hetero`'s `SlowTierBackend`) without the MTL noticing.
 
 use std::collections::{HashMap, HashSet};
 

@@ -1,7 +1,7 @@
 //! Generic set-associative TLB with true-LRU replacement.
 //!
 //! Used in two places: the MTL's translation lookaside buffers (§4.2.3, one
-//! per mapping granularity, §5.2) and — via `vbi-baselines` — the
+//! per mapping granularity, §5.2) and — via `vbi_sim::baselines` — the
 //! conventional L1/L2 TLB hierarchy of the comparison systems. The TLB is
 //! generic over its key so the same structure serves `(VBUID, page)` keys in
 //! VBI, `(ASID, VPN)` keys in x86-64 baselines, and whole-VB keys for
