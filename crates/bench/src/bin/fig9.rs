@@ -6,7 +6,7 @@ use vbi_sim::engine::run;
 use vbi_sim::hetero::memory::{HeteroKind, Policy};
 use vbi_sim::report::mean;
 use vbi_sim::systems::SystemKind;
-use vbi_sim::workloads::spec::{benchmark, HETERO_BENCHMARKS};
+use vbi_sim::workloads::spec::{hetero_benchmark, HETERO_BENCHMARKS};
 
 pub fn main() {
     let kind = HeteroKind::PcmDram;
@@ -20,8 +20,7 @@ pub fn main() {
     println!("{:<16}{:>14}{:>14}", "workload", "VBI", "IDEAL");
     println!("{}", "-".repeat(44));
     for name in HETERO_BENCHMARKS {
-        // No initialization phase: the regions start unwritten.
-        let spec = benchmark(name).expect("hetero benchmark exists").without_init();
+        let spec = hetero_benchmark(name).expect("hetero benchmark exists");
         eprintln!("[fig9] {name} ...");
         let unaware = run(SystemKind::Hetero(kind, Policy::Unaware), &spec, &cfg);
         let vbi = run(SystemKind::Hetero(kind, Policy::VbiHotness), &spec, &cfg);

@@ -61,15 +61,14 @@ mod tests {
     use crate::engine::{run, RunResult};
     use crate::hetero::memory::Policy;
     use crate::systems::SystemKind;
-    use crate::workloads::spec::benchmark;
+    use crate::workloads::spec::{benchmark, hetero_benchmark};
 
     fn quick() -> EngineConfig {
         EngineConfig { accesses: 40_000, warmup: 4_000, seed: 11, phys_frames: 1 << 20 }
     }
 
     fn run_hetero(kind: HeteroKind, policy: Policy, name: &str, cfg: &EngineConfig) -> RunResult {
-        let spec = benchmark(name).unwrap().without_init();
-        run(SystemKind::Hetero(kind, policy), &spec, cfg)
+        run(SystemKind::Hetero(kind, policy), &hetero_benchmark(name).unwrap(), cfg)
     }
 
     #[test]

@@ -85,6 +85,16 @@ pub const HETERO_BENCHMARKS: [&str; 15] = [
     "Graph 500",
 ];
 
+/// Looks up a benchmark of Figures 9 and 10: as [`benchmark`], but with no
+/// initialization phase, so every region starts unwritten.
+pub fn hetero_benchmark(name: &str) -> Option<WorkloadSpec> {
+    let mut spec = benchmark(name)?;
+    for region in &mut spec.regions {
+        region.init_fraction = 0.0;
+    }
+    Some(spec)
+}
+
 /// Looks up a benchmark profile by its figure label.
 pub fn benchmark(name: &str) -> Option<WorkloadSpec> {
     let spec = match name {

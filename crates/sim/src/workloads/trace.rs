@@ -76,15 +76,6 @@ impl WorkloadSpec {
         self.regions.len()
     }
 
-    /// The same workload with no initialization phase: every region starts
-    /// unwritten. Figures 9-10 run their workloads this way.
-    pub fn without_init(mut self) -> Self {
-        for region in &mut self.regions {
-            region.init_fraction = 0.0;
-        }
-        self
-    }
-
     /// Creates the deterministic access-trace generator for this workload.
     pub fn trace(&self, seed: u64) -> TraceGenerator<'_> {
         TraceGenerator::new(self, seed)

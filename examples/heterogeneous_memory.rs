@@ -8,7 +8,7 @@
 use vbi::hetero::memory::{HeteroKind, HeteroMemory, Policy, PAGE_BYTES};
 use vbi::sim::engine::{run, EngineConfig, RunResult};
 use vbi::sim::systems::SystemKind;
-use vbi::workloads::spec::benchmark;
+use vbi::workloads::spec::hetero_benchmark;
 
 fn main() {
     // First, the mechanism in isolation: a small hot VB and a large cold VB
@@ -36,7 +36,7 @@ fn main() {
     // same machine and run loop as every other figure, with the DDR3 memory
     // swapped for a two-speed one.
     let cfg = EngineConfig { accesses: 40_000, warmup: 4_000, seed: 2020, phys_frames: 1 << 20 };
-    let spec = benchmark("sphinx3").expect("known benchmark").without_init();
+    let spec = hetero_benchmark("sphinx3").expect("known benchmark");
     for kind in [HeteroKind::PcmDram, HeteroKind::TlDram] {
         let [unaware, vbi, ideal] = [Policy::Unaware, Policy::VbiHotness, Policy::Ideal]
             .map(|policy| run(SystemKind::Hetero(kind, policy), &spec, &cfg));

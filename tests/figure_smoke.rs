@@ -7,7 +7,7 @@ use vbi::sim::multicore::{run_alone_native, run_bundle};
 use vbi::sim::report::SpeedupTable;
 use vbi::sim::systems::SystemKind;
 use vbi::workloads::bundles::{bundle, bundle_names};
-use vbi::workloads::spec::{benchmark, FIG6_BENCHMARKS, HETERO_BENCHMARKS};
+use vbi::workloads::spec::{benchmark, hetero_benchmark, FIG6_BENCHMARKS, HETERO_BENCHMARKS};
 
 fn tiny() -> EngineConfig {
     EngineConfig { accesses: 2_000, warmup: 200, seed: 2020, phys_frames: 1 << 19 }
@@ -57,7 +57,7 @@ fn figure8_bundles_resolve_and_run() {
 
 #[test]
 fn figure9_and_10_policies_all_run() {
-    let spec = benchmark(HETERO_BENCHMARKS[0]).unwrap().without_init();
+    let spec = hetero_benchmark(HETERO_BENCHMARKS[0]).unwrap();
     for kind in [HeteroKind::PcmDram, HeteroKind::TlDram] {
         for policy in [Policy::Unaware, Policy::VbiHotness, Policy::Ideal] {
             let r = run(SystemKind::Hetero(kind, policy), &spec, &tiny());
@@ -75,7 +75,7 @@ fn figure9_and_10_cells_are_pinned() {
     // measured accesses start.
     let cfg = EngineConfig { accesses: 4_000, warmup: 20_000, seed: 2020, phys_frames: 1 << 19 };
     for (name, kind, policy, pin) in HETERO_PINS {
-        let spec = benchmark(name).unwrap().without_init();
+        let spec = hetero_benchmark(name).unwrap();
         let r = run(SystemKind::Hetero(kind, policy), &spec, &cfg);
         let stats = r.hetero.unwrap();
         let got = [r.cycles, r.instructions, stats.fast_accesses, stats.slow_accesses];
