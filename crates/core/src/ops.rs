@@ -1275,9 +1275,6 @@ pub struct BackingReport {
     pub zero_slots: usize,
     /// Payload bytes held by the store.
     pub stored_bytes: u64,
-    /// Simulated cycles spent accessing the backing tier (0 for the free
-    /// in-memory model).
-    pub tier_cycles: u64,
 }
 
 /// Policy-evicts up to `count` resident pages from the shard homing the VB
@@ -1314,7 +1311,6 @@ pub fn backing_report<E: OpEnv>(
         slots: b.len(),
         zero_slots: b.zero_len(),
         stored_bytes: b.stored_bytes(),
-        tier_cycles: b.tier_cycles(),
     }))
 }
 

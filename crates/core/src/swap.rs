@@ -8,8 +8,7 @@
 //!
 //! The store behind a shard is pluggable: [`PressureBackend`] abstracts the
 //! slot operations the MTL needs, so the default in-memory [`BackingStore`]
-//! can be swapped for a capacity-bounded or slow-tier model (see
-//! `vbi_sim::hetero`'s `SlowTierBackend`) without the MTL noticing.
+//! can be swapped for a capacity-bounded one without the MTL noticing.
 
 use std::collections::{HashMap, HashSet};
 
@@ -71,13 +70,6 @@ pub trait PressureBackend: std::fmt::Debug + Send + Sync {
     /// Capacity in pages, `None` when unbounded.
     fn capacity_pages(&self) -> Option<u64> {
         None
-    }
-
-    /// Simulated cycles spent accessing the tier backing this store.
-    /// Latency-modelling backends (the hetero slow tier) override this;
-    /// the in-memory store is free.
-    fn tier_cycles(&self) -> u64 {
-        0
     }
 }
 
@@ -333,7 +325,6 @@ mod tests {
         let slot = s.try_store(Box::new([5u8; 4096])).expect("unbounded");
         assert_eq!(s.peek(slot).unwrap()[0], 5);
         assert_eq!(s.capacity_pages(), None);
-        assert_eq!(s.tier_cycles(), 0);
         assert!(!s.is_empty());
         let dup = s.duplicate(slot).expect("unbounded");
         s.discard(dup);

@@ -179,8 +179,9 @@ pub struct ServiceConfig {
     /// Factory for each shard's backing store, run once per shard at
     /// construction (default `None` = the in-memory
     /// [`vbi_core::swap::BackingStore`]). A plain `fn` pointer keeps the
-    /// config `Clone` + `Debug`; use it to install a slow-tier model like
-    /// `vbi_sim::hetero::SlowTierBackend` behind every shard.
+    /// config `Clone` + `Debug`; use it to install any other
+    /// [`PressureBackend`], such as a capacity-bounded one, behind every
+    /// shard.
     pub backing: Option<fn() -> Box<dyn PressureBackend>>,
 }
 

@@ -9,9 +9,7 @@
 //! * `hotness` — the MTL's per-VB and per-page access counters;
 //! * [`memory`] — PCM-DRAM hybrid and TL-DRAM memories with three placement
 //!   policies: hotness-unaware (baseline), VBI hotness-driven migration,
-//!   and an IDEAL page-placement oracle;
-//! * `backend` ([`SlowTierBackend`]) — a slow-tier `PressureBackend` that prices the MTL's
-//!   eviction / fault-in traffic with the [`memory`] latency model (§3.4).
+//!   and an IDEAL page-placement oracle.
 //!
 //! ```
 //! use vbi_sim::hetero::memory::{HeteroKind, HeteroMemory, Policy};
@@ -22,9 +20,7 @@
 //! assert!(cycles > 0);
 //! ```
 
-pub(crate) mod backend;
 pub(crate) mod hotness;
 pub mod memory;
 
-pub use backend::SlowTierBackend;
 pub use memory::HeteroKind;

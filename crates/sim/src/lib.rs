@@ -10,8 +10,7 @@
 //!   Enigma;
 //! * [`workloads`] — seeded synthetic SPEC / TailBench / Graph 500
 //!   stand-ins;
-//! * [`hetero`] — PCM-DRAM and TL-DRAM placement policies, and a slow-tier
-//!   backing store priced by them;
+//! * [`hetero`] — PCM-DRAM and TL-DRAM placement policies;
 //! * [`systems`] — `Native`, `Native-2M`, `Virtual`, `Virtual-2M`,
 //!   `Perfect TLB`, `VIVT`, `Enigma-HW-2M`, `VBI-1`, `VBI-2`, `VBI-Full`,
 //!   and `Hetero`, VBI's untranslated front end over a two-speed memory;

@@ -2,10 +2,54 @@
 //! degrades with clean errors and intact data, never corruption.
 
 use vbi::core::os::{BinaryImage, Os, Section, SectionKind};
+use vbi::core::swap::{PageData, PressureBackend};
+use vbi::core::translate::SwapSlot;
 use vbi::core::vm::VmId;
-use vbi::hetero::memory::HeteroKind;
-use vbi::hetero::SlowTierBackend;
 use vbi::{Rwx, SizeClass, System, VbProperties, VbiConfig, VbiError};
+
+/// A backing store with no room at all: it refuses every store.
+#[derive(Debug)]
+struct FullBackend;
+
+impl PressureBackend for FullBackend {
+    fn try_store(&mut self, data: PageData) -> Result<SwapSlot, PageData> {
+        Err(data)
+    }
+
+    fn try_store_zero(&mut self) -> Option<SwapSlot> {
+        None
+    }
+
+    fn load(&mut self, _: SwapSlot) -> Option<PageData> {
+        None
+    }
+
+    fn peek(&self, _: SwapSlot) -> Option<&PageData> {
+        None
+    }
+
+    fn duplicate(&mut self, _: SwapSlot) -> vbi::Result<SwapSlot> {
+        Err(VbiError::BackingStoreFull { capacity_pages: 0 })
+    }
+
+    fn discard(&mut self, _: SwapSlot) {}
+
+    fn len(&self) -> usize {
+        0
+    }
+
+    fn zero_len(&self) -> usize {
+        0
+    }
+
+    fn stored_bytes(&self) -> u64 {
+        0
+    }
+
+    fn capacity_pages(&self) -> Option<u64> {
+        Some(0)
+    }
+}
 
 #[test]
 fn cvt_exhaustion_is_a_clean_error() {
@@ -39,10 +83,7 @@ fn oom_during_write_leaves_prior_data_intact() {
     // With a zero-capacity backing store the pressure path cannot spill, so
     // exhausting physical memory must still surface a clean OOM.
     let system = System::new(VbiConfig { phys_frames: 24, ..VbiConfig::vbi_1() });
-    system
-        .mtl_mut()
-        .set_backing(SlowTierBackend::new(HeteroKind::PcmDram, Some(0)).boxed())
-        .unwrap();
+    system.mtl_mut().set_backing(Box::new(FullBackend)).unwrap();
     let client = system.create_client().unwrap();
     let vb = client.request_vb(128 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
     let mut written = Vec::new();
