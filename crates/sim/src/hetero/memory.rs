@@ -1,8 +1,8 @@
 //! Heterogeneous main memory with pluggable placement policies (§7.3).
 //!
-//! [`HeteroMemory`] binds a two-speed memory device (PCM-DRAM hybrid or
-//! TL-DRAM) to a placement policy deciding which pages live in the fast
-//! region:
+//! [`HeteroMemory`] places the pages of a two-speed memory (PCM-DRAM hybrid
+//! or TL-DRAM) under a policy deciding which pages live in the fast region;
+//! the memory's devices (`mem::Memory`) then serve the lines it returns:
 //!
 //! * [`Policy::Unaware`] — the baseline: pages are scattered across fast and
 //!   slow memory in proportion to capacity, uncorrelated with hotness (the
@@ -18,7 +18,8 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::mem::cache::LINE_BYTES;
-use crate::mem::controller::{HybridMemory, TlDramController};
+use crate::mem::timing::DeviceTiming;
+use crate::mem::Memory;
 
 use super::hotness::HotnessTracker;
 
@@ -35,6 +36,18 @@ pub enum HeteroKind {
     TlDram,
 }
 
+impl HeteroKind {
+    /// The memory of this kind: the fast device over the first `fast_bytes`
+    /// of the address space and the slow device above them.
+    pub(crate) fn memory(self, fast_bytes: u64) -> Memory {
+        let (fast, slow) = match self {
+            HeteroKind::PcmDram => (DeviceTiming::ddr3_1600(), DeviceTiming::pcm_800()),
+            HeteroKind::TlDram => (DeviceTiming::tldram_near(), DeviceTiming::tldram_far()),
+        };
+        Memory::new(&[(0, fast), (fast_bytes, slow)])
+    }
+}
+
 /// Placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
@@ -45,12 +58,6 @@ pub enum Policy {
     VbiHotness,
     /// Oracle page placement (the IDEAL bars).
     Ideal,
-}
-
-#[derive(Debug)]
-enum DeviceImpl {
-    Hybrid(HybridMemory),
-    TlDram(TlDramController),
 }
 
 /// Statistics for a heterogeneous memory.
@@ -78,7 +85,9 @@ impl HeteroStats {
     }
 }
 
-/// A heterogeneous main memory with placement and migration.
+/// Page placement and migration for a heterogeneous main memory: it maps
+/// each region's pages to device addresses, the first `fast_bytes` of which
+/// are fast.
 ///
 /// # Examples
 ///
@@ -87,11 +96,12 @@ impl HeteroStats {
 ///
 /// let mut mem = HeteroMemory::new(HeteroKind::PcmDram, 1 << 20, Policy::VbiHotness, 10_000);
 /// mem.register_region(0, 64 << 10);
-/// let _cycles = mem.access(0, 0);
+/// let line = mem.place(0, 64);
+/// assert_eq!(line % 4096, 64, "a line keeps its offset in the page");
+/// assert_eq!(mem.stats().fast_accesses + mem.stats().slow_accesses, 1);
 /// ```
 #[derive(Debug)]
 pub struct HeteroMemory {
-    device: DeviceImpl,
     fast_bytes: u64,
     policy: Policy,
     /// Total registered region bytes (sets the unaware policy's fast share).
@@ -118,16 +128,11 @@ impl HeteroMemory {
     /// Creates a heterogeneous memory with `fast_bytes` of fast capacity and
     /// an epoch of `epoch_len` main-memory accesses.
     pub fn new(kind: HeteroKind, fast_bytes: u64, policy: Policy, epoch_len: u64) -> Self {
-        let device = match kind {
-            HeteroKind::PcmDram => DeviceImpl::Hybrid(HybridMemory::new(fast_bytes)),
-            HeteroKind::TlDram => DeviceImpl::TlDram(TlDramController::new(fast_bytes)),
-        };
         let migration_cycles_per_page = match kind {
             HeteroKind::PcmDram => 128,
             HeteroKind::TlDram => 24,
         };
         Self {
-            device,
             fast_bytes,
             policy,
             total_bytes: 0,
@@ -218,9 +223,9 @@ impl HeteroMemory {
         }
     }
 
-    /// Serves one main-memory access (an LLC miss or writeback) `offset`
-    /// bytes into `region`, returning the service latency in CPU cycles.
-    pub fn access(&mut self, region: usize, offset: u64) -> u64 {
+    /// Places one main-memory access (an LLC miss or writeback) `offset`
+    /// bytes into `region`, returning the device address of its line.
+    pub fn place(&mut self, region: usize, offset: u64) -> u64 {
         let page = offset / PAGE_BYTES;
         self.tracker.record(region, page);
 
@@ -253,18 +258,13 @@ impl HeteroMemory {
         } else {
             self.stats.slow_accesses += 1;
         }
-        let line_addr = addr + (offset % PAGE_BYTES) / LINE_BYTES * LINE_BYTES;
-        let latency = match &mut self.device {
-            DeviceImpl::Hybrid(m) => m.service(line_addr),
-            DeviceImpl::TlDram(t) => t.service(line_addr),
-        };
 
         // Epoch boundary: re-rank VBs by access density and choose the hot
         // set that fits fast capacity.
         if self.policy == Policy::VbiHotness && self.tracker.epoch_accesses() >= self.epoch_len {
             self.rebalance();
         }
-        latency
+        addr + (offset % PAGE_BYTES) / LINE_BYTES * LINE_BYTES
     }
 
     /// Recomputes the hot-VB set from this epoch's density ranking.
@@ -309,10 +309,10 @@ mod tests {
         mem.register_region(1, 4096 * PAGE_BYTES);
         for round in 0..rounds {
             for page in 0..16u64 {
-                mem.access(0, page * PAGE_BYTES);
+                mem.place(0, page * PAGE_BYTES);
             }
             // One cold touch per round, wandering.
-            mem.access(1, ((round as u64 * 37) % 4096) * PAGE_BYTES);
+            mem.place(1, ((round as u64 * 37) % 4096) * PAGE_BYTES);
         }
     }
 
@@ -333,7 +333,7 @@ mod tests {
             HeteroMemory::new(HeteroKind::PcmDram, 64 * PAGE_BYTES, Policy::Unaware, 1 << 60);
         mem.register_region(0, 256 * PAGE_BYTES);
         for page in 0..256u64 {
-            mem.access(0, page * PAGE_BYTES);
+            mem.place(0, page * PAGE_BYTES);
         }
         let s = mem.stats();
         let frac = s.fast_fraction();
@@ -352,7 +352,7 @@ mod tests {
         let mut cold_fast = 0;
         for page in 0..512u64 {
             let before = mem.stats().fast_accesses;
-            mem.access(0, page * PAGE_BYTES);
+            mem.place(0, page * PAGE_BYTES);
             let went_fast = mem.stats().fast_accesses > before;
             if page < 64 {
                 hot_fast += went_fast as u32;
@@ -371,9 +371,9 @@ mod tests {
         let mut mem = HeteroMemory::new(HeteroKind::TlDram, 2 * PAGE_BYTES, Policy::Ideal, 100);
         mem.register_region(0, 64 * PAGE_BYTES);
         mem.set_oracle(&[((0, 7), 1000), ((0, 9), 500), ((0, 1), 10)]);
-        mem.access(0, 7 * PAGE_BYTES);
-        mem.access(0, 9 * PAGE_BYTES);
-        mem.access(0, PAGE_BYTES); // beyond fast capacity
+        mem.place(0, 7 * PAGE_BYTES);
+        mem.place(0, 9 * PAGE_BYTES);
+        mem.place(0, PAGE_BYTES); // beyond fast capacity
         assert_eq!(mem.stats().fast_accesses, 2);
         assert_eq!(mem.stats().slow_accesses, 1);
     }
@@ -386,22 +386,5 @@ mod tests {
         let s = mem.stats();
         assert!(s.pages_migrated > 0);
         assert_eq!(s.migration_cycles, s.pages_migrated * 128);
-    }
-
-    #[test]
-    fn fast_accesses_are_faster_on_average() {
-        // Directly compare service latencies on both sides of a hybrid.
-        let mut fast_mem =
-            HeteroMemory::new(HeteroKind::PcmDram, 1 << 30, Policy::Unaware, 1 << 60);
-        fast_mem.register_region(0, 1 << 20);
-        let mut slow_mem = HeteroMemory::new(HeteroKind::PcmDram, 0, Policy::Unaware, 1 << 60);
-        slow_mem.register_region(0, 1 << 20);
-        let mut fast_total = 0;
-        let mut slow_total = 0;
-        for i in 0..256u64 {
-            fast_total += fast_mem.access(0, (i * 97) % (1 << 20));
-            slow_total += slow_mem.access(0, (i * 97) % (1 << 20));
-        }
-        assert!(slow_total > fast_total, "slow {slow_total} vs fast {fast_total}");
     }
 }

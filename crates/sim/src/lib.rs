@@ -4,8 +4,8 @@
 //! paper's evaluation (§7) and reports paper-shaped speedup tables. The
 //! crate holds the whole reproduction, from the memory substrate up:
 //!
-//! * [`mem`] — caches, DRAM/PCM/TL-DRAM timing and memory controllers
-//!   (Table 1);
+//! * [`mem`] — caches, DRAM/PCM/TL-DRAM timing and the one memory below
+//!   them, devices at address ranges behind a controller (Table 1);
 //! * [`baselines`] — conventional x86-64 MMUs, nested (2D) page walks and
 //!   Enigma;
 //! * [`workloads`] — seeded synthetic SPEC / TailBench / Graph 500

@@ -3,8 +3,8 @@
 //! Models the memory-device half of Table 1: one channel, one rank, eight
 //! banks, open-page policy. Each bank remembers its open row; an access is a
 //! row hit (CAS only), a closed-bank activate (tRCD + CAS), or a row
-//! conflict (tRP + tRCD + CAS). TL-DRAM devices additionally split each
-//! subarray into a near and a far segment with different timings (§7.3).
+//! conflict (tRP + tRCD + CAS). TL-DRAM's near and far segments (§7.3) are
+//! two devices with different timings.
 
 use super::timing::DeviceTiming;
 
@@ -71,44 +71,6 @@ impl Device {
     }
 }
 
-/// A TL-DRAM device: each bank's rows are split between a low-latency near
-/// segment and a larger far segment (Lee et al. \[74\]).
-///
-/// The boundary is expressed as a fraction of the physical address space:
-/// addresses below `near_bytes` live in the near segment.
-#[derive(Debug, Clone)]
-pub(crate) struct TlDram {
-    near: Device,
-    far: Device,
-    near_bytes: u64,
-}
-
-impl TlDram {
-    /// Creates a TL-DRAM with the first `near_bytes` of the address space in
-    /// the near segment.
-    pub(crate) fn new(near_bytes: u64) -> Self {
-        Self {
-            near: Device::new(DeviceTiming::tldram_near(), AddressMapping::default()),
-            far: Device::new(DeviceTiming::tldram_far(), AddressMapping::default()),
-            near_bytes,
-        }
-    }
-
-    /// Whether an address falls in the near (fast) segment.
-    pub(crate) fn is_near(&self, addr: u64) -> bool {
-        addr < self.near_bytes
-    }
-
-    /// Serves an access from the segment owning `addr`.
-    pub(crate) fn access(&mut self, addr: u64) -> u64 {
-        if self.is_near(addr) {
-            self.near.access(addr)
-        } else {
-            self.far.access(addr - self.near_bytes)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,15 +131,5 @@ mod tests {
             hits += usize::from(d.access(addr % (1 << 30)) == hit);
         }
         assert!(hits < 100, "{hits} row hits in 1000");
-    }
-
-    #[test]
-    fn tldram_near_is_faster() {
-        let mut t = TlDram::new(1 << 20);
-        let near = t.access(0);
-        let far = t.access(2 << 20);
-        assert!(near < far);
-        assert!(t.is_near(0));
-        assert!(!t.is_near(2 << 20));
     }
 }

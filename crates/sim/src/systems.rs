@@ -1,13 +1,14 @@
 //! The ten system configurations of the evaluation (§7.2).
 //!
-//! Every system is one `Machine`: a cache hierarchy, a memory, the memory
-//! controller's table cache and a translator. Given one trace record it
+//! Every system is one `Machine`: a cache hierarchy, one `mem::Memory`, the
+//! memory controller's table cache and a translator. Given one trace record it
 //! returns the stall cycles the access exposes to the core and keeps
 //! counters. The ten systems of Figures 6-8 share Table 1's DDR3 memory and
 //! differ only in the translator, which fixes where translation sits, where
 //! its walk references go, and how many of its cycles hide behind the LLC
-//! lookup (`CacheTiming`'s `llc`, 31 cycles). Figures 9-10 keep the caches
-//! and swap the memory for a two-speed one that places pages itself:
+//! lookup (`CacheTiming`'s `llc`, 31 cycles). Figures 9-10 keep the caches,
+//! give the memory two device ranges, fast below slow, and put a page
+//! placement (`HeteroMemory`) in front of it:
 //!
 //! | system | translator | placement | walk references | overlap | memory |
 //! |---|---|---|---|---|---|
@@ -17,7 +18,7 @@
 //! | `VIVT` | `Vivt`: TLBs + 4-level walk + PWC | LLC miss | caches | LLC | DDR3 |
 //! | `Enigma-HW-2M` | `Enigma`: 16K CTC + HW walk | LLC miss | table cache | none | DDR3 |
 //! | `VBI-1/2/Full` | `Vbi`: MTL (per-VB structures) | LLC miss | table cache | LLC | DDR3 |
-//! | `Hetero` (Figures 9-10) | `Untranslated`: free, no TLB | — | none | — | PCM-DRAM or TL-DRAM |
+//! | `Hetero` (Figures 9-10) | `Untranslated`: free, no TLB | — | none | — | PCM-DRAM or TL-DRAM, placed |
 //!
 //! At an LLC miss the caches see virtual, intermediate or VBI addresses, and
 //! each LLC write-back is translated too. What else follows, written once:
@@ -43,9 +44,9 @@ use crate::engine::EngineConfig;
 use crate::hetero::memory::{HeteroKind, HeteroMemory, HeteroStats, Policy, PAGE_BYTES};
 use crate::hetero_run::{fast_bytes_for, ideal_ranking, EPOCH_ACCESSES};
 use crate::mem::cache::Cache;
-use crate::mem::controller::MemoryController;
 use crate::mem::hierarchy::{CacheHierarchy, HitLevel};
 use crate::mem::timing::CacheTiming;
+use crate::mem::Memory;
 use crate::workloads::trace::WorkloadSpec;
 use vbi_core::addr::{SizeClass, VbiAddress};
 use vbi_core::client::{ClientId, Cvt, CvtEntry};
@@ -158,20 +159,21 @@ pub(crate) fn build_system(
         SystemKind::VbiFull => vbi(VbiConfig::vbi_full()),
         SystemKind::Hetero(..) => Translator::Untranslated,
     };
-    let memory = match kind {
+    let (memory, placement) = match kind {
         SystemKind::Hetero(kind, policy) => {
-            let mut memory = HeteroMemory::new(kind, fast_bytes_for(kind), policy, EPOCH_ACCESSES);
+            let fast_bytes = fast_bytes_for(kind);
+            let mut placement = HeteroMemory::new(kind, fast_bytes, policy, EPOCH_ACCESSES);
             for (i, region) in spec.regions.iter().enumerate() {
-                memory.register_region(i, region.bytes);
+                placement.register_region(i, region.bytes);
             }
             if policy == Policy::Ideal {
-                memory.set_oracle(&ideal_ranking(spec, config));
+                placement.set_oracle(&ideal_ranking(spec, config));
             }
-            Memory::TwoSpeed(Box::new(memory))
+            (kind.memory(fast_bytes), Some(placement))
         }
-        _ => Memory::Ddr3(MemoryController::ddr3_1600()),
+        _ => (Memory::ddr3_1600(), None),
     };
-    let mut machine = Machine::new(translator, memory);
+    let mut machine = Machine::new(translator, memory, placement);
     let sizes: Vec<u64> = spec.regions.iter().map(|r| r.bytes).collect();
     machine.attach_regions(&sizes);
     machine
@@ -300,19 +302,14 @@ impl Translator {
     }
 }
 
-/// The memory behind the caches.
-enum Memory {
-    /// Table 1's DDR3-1600 channel.
-    Ddr3(MemoryController),
-    /// A PCM-DRAM or TL-DRAM memory that places pages by region and offset.
-    TwoSpeed(Box<HeteroMemory>),
-}
-
 /// A complete single-core memory system: address layout, caches, a
 /// translator and a memory.
 pub(crate) struct Machine {
     caches: CacheHierarchy,
     memory: Memory,
+    /// A two-speed memory's page placement, which picks the device line of
+    /// each line the memory serves.
+    placement: Option<HeteroMemory>,
     /// A small SRAM cache at the memory controller holding translation
     /// entries: the working memory of the MTL's "programmable low-power core"
     /// (§4.5.3; Pinnacle-class controllers have such SRAM). Enigma's
@@ -325,10 +322,11 @@ pub(crate) struct Machine {
 }
 
 impl Machine {
-    fn new(translator: Translator, memory: Memory) -> Self {
+    fn new(translator: Translator, memory: Memory, placement: Option<HeteroMemory>) -> Self {
         Self {
             caches: CacheHierarchy::per_core_default(),
             memory,
+            placement,
             table_cache: Cache::new(256 << 10, 8),
             translator,
             bases: Vec::new(),
@@ -406,11 +404,7 @@ impl Machine {
 
     /// A two-speed memory's statistics over the whole run, warm-up included.
     pub(crate) fn hetero_stats(&self) -> Option<HeteroStats> {
-        if let Memory::TwoSpeed(memory) = &self.memory {
-            Some(memory.stats())
-        } else {
-            None
-        }
+        self.placement.as_ref().map(HeteroMemory::stats)
     }
 
     /// Resets counters at the warm-up boundary (cache/TLB state persists).
@@ -440,22 +434,23 @@ impl Machine {
         check.latency + self.serve(entry_addr)
     }
 
-    /// Serves one line at the memory and returns its latency. A two-speed
-    /// memory places by region and offset: the line's region is the last one
-    /// whose base is at or below it. The cycles of any page migration the
-    /// access sets off are counted, not returned: the core cannot overlap
-    /// them with its misses.
+    /// Serves one line at the memory and returns its latency. A placement
+    /// first places the line by region and offset: its region is the last
+    /// one whose base is at or below it. The cycles of any page migration
+    /// that sets off are counted, not returned: the core cannot overlap them
+    /// with its misses.
     fn serve(&mut self, line: u64) -> u64 {
-        match &mut self.memory {
-            Memory::Ddr3(controller) => controller.service(line),
-            Memory::TwoSpeed(memory) => {
+        let line = match &mut self.placement {
+            Some(placement) => {
                 let region = self.bases.partition_point(|&base| base <= line) - 1;
-                let migrated = memory.stats().migration_cycles;
-                let latency = memory.access(region, line - self.bases[region]);
-                self.counters.migration_cycles += memory.stats().migration_cycles - migrated;
-                latency
+                let migrated = placement.stats().migration_cycles;
+                let placed = placement.place(region, line - self.bases[region]);
+                self.counters.migration_cycles += placement.stats().migration_cycles - migrated;
+                placed
             }
-        }
+            None => line,
+        };
+        self.memory.service(line)
     }
 
     /// The physical line for a cache line leaving the hierarchy, and the

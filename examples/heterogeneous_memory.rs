@@ -20,9 +20,9 @@ fn main() {
 
     for round in 0..200u64 {
         for page in 0..32 {
-            memory.access(0, page * PAGE_BYTES);
+            memory.place(0, page * PAGE_BYTES);
         }
-        memory.access(1, (round * 131) % 4096 * PAGE_BYTES);
+        memory.place(1, (round * 131) % 4096 * PAGE_BYTES);
     }
     let stats = memory.stats();
     println!(

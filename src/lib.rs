@@ -14,8 +14,8 @@
 //!   home-MTL partitioning) with a batched request path;
 //! * `sim` ([`vbi_sim`]) — the paper's §7 evaluation behind the `vbi-bench`
 //!   figure binaries, with its four parts re-exported here:
-//!   * `mem_sim` ([`vbi_sim::mem`]) — caches, DRAM/PCM/TL-DRAM timing,
-//!     memory controllers (Table 1);
+//!   * `mem_sim` ([`vbi_sim::mem`]) — caches, DRAM/PCM/TL-DRAM timing and
+//!     the one memory below them (Table 1);
 //!   * `baselines` ([`vbi_sim::baselines`]) — conventional x86-64 MMUs,
 //!     nested (2D) page walks, and Enigma;
 //!   * `workloads` ([`vbi_sim::workloads`]) — seeded synthetic SPEC /
